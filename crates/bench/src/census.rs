@@ -134,7 +134,13 @@ pub fn planes_census() -> Census {
             std::hint::black_box(CauseCtx::from_bytes(&bytes));
         }),
     ));
-    ops.push(("metrics_inc", ns_per_op(ITERS, || metrics.inc(Counter::ReplShips))));
+    // The plane goes through `black_box` every iteration: a counter
+    // bump is one `Cell` add, which the optimizer would otherwise fold
+    // out of the loop and report as 0.0 ns.
+    ops.push((
+        "metrics_inc",
+        ns_per_op(ITERS, || std::hint::black_box(&metrics).inc(Counter::ReplShips)),
+    ));
     let mut text = String::from("op                   | ns/op (host wall clock)\n---------------------+------------------------\n");
     let mut rows = Vec::new();
     for (op, ns) in &ops {
@@ -212,6 +218,17 @@ mod tests {
             ["trace_emit", "trace_emit_with_ctx", "mint_span", "ctx_wire_roundtrip", "metrics_inc"]
         {
             assert!(c.json.contains(&format!("\"op\": \"{op}\"")), "missing {op}:\n{}", c.json);
+        }
+        // A row that reads 0.0 ns measured an optimized-away loop.
+        let rows: Vec<f64> = c
+            .json
+            .lines()
+            .filter_map(|l| l.split("\"ns\": ").nth(1))
+            .map(|v| v.trim_end_matches(['}', ',']).parse().expect("ns is a number"))
+            .collect();
+        assert_eq!(rows.len(), 5, "one ns row per op:\n{}", c.json);
+        for ns in rows {
+            assert!(ns > 0.0, "a census row reads {ns} ns:\n{}", c.text);
         }
     }
 

@@ -570,6 +570,9 @@ impl GraftInstance {
             vm.set_profile_plane(Rc::clone(&pp), ptag);
             ptag
         });
+        // Split the program into straight-line runs once, here, so no
+        // invocation or window pays for decoding.
+        vm.predecode(&program);
         // Watch plane: count the install and pre-create the blamed
         // principal's window slot now, while allocation is permitted.
         let blame = engine.rm.borrow().blame_target(principal);

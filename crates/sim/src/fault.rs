@@ -182,6 +182,15 @@ struct SiteState {
     fired: u64,
 }
 
+/// Upcoming visits to `st` that cannot fire (see
+/// [`FaultPlane::quiet_visits`]).
+fn quiet(st: &SiteState) -> u64 {
+    if st.rate.is_some() {
+        return 0;
+    }
+    st.armed.first().map_or(u64::MAX, |&nth| nth.saturating_sub(st.visits + 1))
+}
+
 /// An opaque snapshot of a [`FaultPlane`]'s full mutable state (RNG
 /// stream position, per-site schedules and counters, cap and schedule
 /// log). Captured by [`FaultPlane::export_state`] and replanted with
@@ -306,6 +315,35 @@ impl FaultPlane {
         true
     }
 
+    /// How many upcoming visits to `site` cannot fire: none while a rate
+    /// is set (every visit draws from the RNG), otherwise every visit
+    /// before the next armed one-shot (`u64::MAX` when none is armed).
+    pub fn quiet_visits(&self, site: FaultSite) -> u64 {
+        let sites = self.sites.borrow();
+        quiet(&sites[idx(site)])
+    }
+
+    /// Records `n` visits to `site` in bulk if none of them can fire
+    /// (`n <= quiet_visits(site)`) and answers whether it did. A `true`
+    /// leaves the plane exactly as `n` calls to [`fire`](Self::fire)
+    /// answering `false` would; a `false` records nothing.
+    pub fn record_quiet_visits(&self, site: FaultSite, n: u64) -> bool {
+        let mut sites = self.sites.borrow_mut();
+        let st = &mut sites[idx(site)];
+        if n > quiet(st) {
+            return false;
+        }
+        st.visits += n;
+        true
+    }
+
+    /// Takes back `n` visits recorded by
+    /// [`record_quiet_visits`](Self::record_quiet_visits) that the
+    /// caller did not reach after all (a run cut short by a trap).
+    pub fn return_quiet_visits(&self, site: FaultSite, n: u64) {
+        self.sites.borrow_mut()[idx(site)].visits -= n;
+    }
+
     /// Caps the plane-wide injection count: the first `cap` would-be
     /// injections fire, every later one is suppressed. `None` lifts the
     /// cap. See [`fire`](Self::fire) for the prefix-identity guarantee.
@@ -420,6 +458,24 @@ mod tests {
         let fired: Vec<bool> = (0..8).map(|_| p.fire(FaultSite::VmTrap)).collect();
         assert_eq!(fired, [false, false, false, false, true, false, false, false]);
         assert_eq!(p.injected(FaultSite::VmTrap), 1);
+    }
+
+    #[test]
+    fn quiet_visits_stop_short_of_the_next_one_shot() {
+        let p = FaultPlane::seeded(1);
+        assert_eq!(p.quiet_visits(FaultSite::VmTrap), u64::MAX);
+        p.arm(FaultSite::VmTrap, 5);
+        assert_eq!(p.quiet_visits(FaultSite::VmTrap), 4);
+        assert!(!p.record_quiet_visits(FaultSite::VmTrap, 5), "visit 5 can fire");
+        assert_eq!(p.visits(FaultSite::VmTrap), 0, "a refused bulk record records nothing");
+        assert!(p.record_quiet_visits(FaultSite::VmTrap, 4));
+        assert_eq!(p.quiet_visits(FaultSite::VmTrap), 0);
+        p.return_quiet_visits(FaultSite::VmTrap, 1);
+        assert_eq!(p.visits(FaultSite::VmTrap), 3);
+        assert!(!p.fire(FaultSite::VmTrap));
+        assert!(p.fire(FaultSite::VmTrap), "the one-shot still lands on visit 5");
+        p.set_rate(FaultSite::VmTrap, 1, 1_000_000);
+        assert_eq!(p.quiet_visits(FaultSite::VmTrap), 0, "a rate makes every visit draw");
     }
 
     #[test]

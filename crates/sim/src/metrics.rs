@@ -13,9 +13,10 @@
 //!
 //! Design discipline matches the trace plane:
 //!
-//! - **Zero allocations on the hot path.** Counters are fixed slots in
-//!   a `Cell` array; histograms are fixed bucket arrays; the invocation
-//!   stack is a fixed-depth array. Only graft-name interning
+//! - **Zero allocations on the hot path.** Counters are fixed slots,
+//!   one `Cell` each, bumped in place; histograms
+//!   are fixed bucket arrays; the invocation stack is a fixed-depth
+//!   array. Only graft-name interning
 //!   ([`MetricsPlane::tag`], install time) and rendering allocate —
 //!   proven by `cargo bench -p vino-bench --bench metrics_plane`.
 //! - **Deterministic.** Everything is driven by the virtual clock and
@@ -34,6 +35,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::clock::{Cycles, VirtualClock};
+use crate::plane::CellCounters;
 
 /// Interned graft-name handle, the metrics twin of
 /// [`crate::trace::GraftTag`]. Interning happens at install time (the
@@ -585,7 +587,7 @@ pub struct MetricsState {
 #[derive(Debug)]
 pub struct MetricsPlane {
     clock: Rc<VirtualClock>,
-    counters: Cell<[u64; Counter::COUNT]>,
+    counters: CellCounters<{ Counter::COUNT }>,
     /// Per-resource-kind high-water marks, indexed by
     /// `ResourceKind::index()`.
     rm_peaks: Cell<[u64; 8]>,
@@ -595,7 +597,7 @@ pub struct MetricsPlane {
     /// ([`Component::Indirection`] recorded outside any bracket).
     pending_indirection: Cell<u64>,
     /// Charges recorded outside any invocation (kernel-side work).
-    kernel_comps: Cell<[u64; Component::COUNT]>,
+    kernel_comps: CellCounters<{ Component::COUNT }>,
     frames: RefCell<[Frame; MAX_NEST]>,
     depth: Cell<usize>,
     grafts: RefCell<Vec<GraftSlot>>,
@@ -620,11 +622,11 @@ impl MetricsPlane {
     pub fn with_graft_capacity(clock: Rc<VirtualClock>, grafts: usize) -> Rc<MetricsPlane> {
         Rc::new(MetricsPlane {
             clock,
-            counters: Cell::new([0; Counter::COUNT]),
+            counters: CellCounters::new(),
             rm_peaks: Cell::new([0; 8]),
             undo_depth_peak: Cell::new(0),
             pending_indirection: Cell::new(0),
-            kernel_comps: Cell::new([0; Component::COUNT]),
+            kernel_comps: CellCounters::new(),
             frames: RefCell::new([IDLE_FRAME; MAX_NEST]),
             depth: Cell::new(0),
             grafts: RefCell::new(Vec::with_capacity(grafts)),
@@ -646,11 +648,11 @@ impl MetricsPlane {
     pub fn export_state(&self) -> MetricsState {
         assert_eq!(self.depth.get(), 0, "cannot checkpoint mid-invocation");
         MetricsState {
-            counters: self.counters.get(),
+            counters: self.counters.load(),
             rm_peaks: self.rm_peaks.get(),
             undo_depth_peak: self.undo_depth_peak.get(),
             pending_indirection: self.pending_indirection.get(),
-            kernel_comps: self.kernel_comps.get(),
+            kernel_comps: self.kernel_comps.load(),
             grafts: self.grafts.borrow().clone(),
             names: self.names.borrow().clone(),
             all_latency: *self.all_latency.borrow(),
@@ -661,11 +663,11 @@ impl MetricsPlane {
     /// Replants a [`MetricsState`] capture: counters, gauges and ledgers
     /// resume exactly where the capture left them.
     pub fn restore_state(&self, st: &MetricsState) {
-        self.counters.set(st.counters);
+        self.counters.store(&st.counters);
         self.rm_peaks.set(st.rm_peaks);
         self.undo_depth_peak.set(st.undo_depth_peak);
         self.pending_indirection.set(st.pending_indirection);
-        self.kernel_comps.set(st.kernel_comps);
+        self.kernel_comps.store(&st.kernel_comps);
         *self.grafts.borrow_mut() = st.grafts.clone();
         *self.names.borrow_mut() = st.names.clone();
         let mut tags = self.tags.borrow_mut();
@@ -706,9 +708,7 @@ impl MetricsPlane {
 
     /// Adds `n` to counter `c`. Zero-allocation.
     pub fn add(&self, c: Counter, n: u64) {
-        let mut v = self.counters.get();
-        v[c as usize] += n;
-        self.counters.set(v);
+        self.counters.add(c as usize, n);
     }
 
     /// Increments counter `c`. Zero-allocation.
@@ -718,7 +718,7 @@ impl MetricsPlane {
 
     /// Current value of counter `c`.
     pub fn get(&self, c: Counter) -> u64 {
-        self.counters.get()[c as usize]
+        self.counters.get(c as usize)
     }
 
     /// Raises the high-water mark for resource kind `kind`
@@ -785,9 +785,7 @@ impl MetricsPlane {
         } else if c == Component::Indirection {
             self.pending_indirection.set(self.pending_indirection.get() + cost.get());
         } else {
-            let mut v = self.kernel_comps.get();
-            v[c as usize] += cost.get();
-            self.kernel_comps.set(v);
+            self.kernel_comps.add(c as usize, cost.get());
         }
     }
 
@@ -844,11 +842,7 @@ impl MetricsPlane {
     /// dispatch led nowhere).
     pub fn mark_fallback(&self, tag: MetricTag) {
         let pending = self.pending_indirection.replace(0);
-        if pending > 0 {
-            let mut v = self.kernel_comps.get();
-            v[Component::Indirection as usize] += pending;
-            self.kernel_comps.set(v);
-        }
+        self.kernel_comps.add(Component::Indirection as usize, pending);
         self.inc(Counter::GraftFallbacks);
         if let Some(slot) = self.grafts.borrow_mut().get_mut(tag.0 as usize) {
             slot.fallbacks += 1;
@@ -883,7 +877,7 @@ impl MetricsPlane {
 
     /// Cycles attributed to kernel-side work outside any invocation.
     pub fn kernel_attribution(&self) -> [u64; Component::COUNT] {
-        self.kernel_comps.get()
+        self.kernel_comps.load()
     }
 
     /// Per-graft invocation-latency quantile (`num/den`), if any

@@ -6,7 +6,8 @@
 //! so two planes can never interleave records on the same sites. The
 //! kernel used to re-implement the "already attached" flag per plane;
 //! this module centralises the error type and the one-shot slot so new
-//! planes get the contract for free.
+//! planes get the contract for free. It also holds `CellCounters`, the
+//! fixed counter array the planes bump on their hot paths.
 
 use std::cell::Cell;
 use std::fmt;
@@ -62,6 +63,43 @@ impl AttachSlot {
     }
 }
 
+/// A fixed array of `u64` counters, one `Cell` per slot, so a bump
+/// reads and writes only its own slot. Zero-allocation.
+#[derive(Debug)]
+pub(crate) struct CellCounters<const N: usize>([Cell<u64>; N]);
+
+impl<const N: usize> CellCounters<N> {
+    /// All slots zero.
+    pub(crate) fn new() -> CellCounters<N> {
+        CellCounters(std::array::from_fn(|_| Cell::new(0)))
+    }
+
+    /// Adds `n` to slot `i`.
+    #[inline]
+    pub(crate) fn add(&self, i: usize, n: u64) {
+        let c = &self.0[i];
+        c.set(c.get() + n);
+    }
+
+    /// The value of slot `i`.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> u64 {
+        self.0[i].get()
+    }
+
+    /// Every slot, as a plain array (snapshots and exports).
+    pub(crate) fn load(&self) -> [u64; N] {
+        std::array::from_fn(|i| self.0[i].get())
+    }
+
+    /// Overwrites every slot from `v` (checkpoint restore).
+    pub(crate) fn store(&self, v: &[u64; N]) {
+        for (c, &x) in self.0.iter().zip(v) {
+            c.set(x);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,6 +112,18 @@ mod tests {
         assert!(slot.is_claimed());
         assert_eq!(slot.claim(), Err(AttachError::AlreadyAttached));
         assert_eq!(slot.claim(), Err(AttachError::AlreadyAttached));
+    }
+
+    #[test]
+    fn cell_counters_update_in_place_and_round_trip() {
+        let c = CellCounters::<4>::new();
+        c.add(1, 3);
+        c.add(1, 2);
+        c.add(3, 7);
+        assert_eq!(c.get(1), 5);
+        assert_eq!(c.load(), [0, 5, 0, 7]);
+        c.store(&[9, 8, 7, 6]);
+        assert_eq!(c.load(), [9, 8, 7, 6]);
     }
 
     #[test]

@@ -49,6 +49,7 @@ use std::rc::Rc;
 
 use crate::clock::{Cycles, VirtualClock};
 use crate::metrics::{Attribution, Component};
+use crate::plane::CellCounters;
 
 /// Interned graft-name handle, the profile twin of
 /// [`crate::metrics::MetricTag`]. Interning happens at install time;
@@ -256,7 +257,7 @@ pub struct ProfilePlane {
     /// the metrics plane's pending-indirection rule).
     pending_indirection: Cell<u64>,
     /// Charges recorded outside any invocation (kernel-side work).
-    kernel_comps: Cell<[u64; Component::COUNT]>,
+    kernel_comps: CellCounters<{ Component::COUNT }>,
     spans: RefCell<Vec<Span>>,
     span_cap: usize,
     spans_dropped: Cell<u64>,
@@ -280,7 +281,7 @@ impl ProfilePlane {
             frames: RefCell::new([IDLE_FRAME; MAX_NEST]),
             depth: Cell::new(0),
             pending_indirection: Cell::new(0),
-            kernel_comps: Cell::new([0; Component::COUNT]),
+            kernel_comps: CellCounters::new(),
             spans: RefCell::new(Vec::with_capacity(spans)),
             span_cap: spans,
             spans_dropped: Cell::new(0),
@@ -331,9 +332,7 @@ impl ProfilePlane {
         } else if c == Component::Indirection {
             self.pending_indirection.set(self.pending_indirection.get() + cost.get());
         } else {
-            let mut v = self.kernel_comps.get();
-            v[c as usize] += cost.get();
-            self.kernel_comps.set(v);
+            self.kernel_comps.add(c as usize, cost.get());
         }
     }
 
@@ -352,23 +351,43 @@ impl ProfilePlane {
     /// Updates the per-PC ledger, the current call-tree node, and the
     /// bracketed component attribution. Zero-allocation.
     pub fn record_pc(&self, tag: ProfTag, pc: usize, c: Component, cost: Cycles) {
-        self.charge_bracketed(c, cost);
+        let (graft, sfi) = if c == Component::Sfi { (0, cost.get()) } else { (cost.get(), 0) };
+        self.charge_retired(tag, Cycles(graft), Cycles(sfi), 1);
+        self.record_pc_hits(tag, pc, 1, c, cost);
+    }
+
+    /// Bills `instrs` retired instructions in bulk: `graft` cycles of
+    /// [`Component::GraftFn`] and `sfi` cycles of [`Component::Sfi`],
+    /// to the bracketed attribution and the current call-tree node.
+    /// The per-PC ledger is left to
+    /// [`record_pc_hits`](Self::record_pc_hits). The VM calls this once
+    /// per straight-line stretch instead of [`record_pc`](Self::record_pc)
+    /// per instruction, always before the call tree or the innermost
+    /// bracket can change. Zero-allocation.
+    pub fn charge_retired(&self, tag: ProfTag, graft: Cycles, sfi: Cycles, instrs: u64) {
+        self.charge_bracketed(Component::GraftFn, graft);
+        self.charge_bracketed(Component::Sfi, sfi);
         let mut grafts = self.grafts.borrow_mut();
         let Some(g) = grafts.get_mut(tag.0 as usize) else { return };
-        g.instrs += 1;
-        let sfi = c == Component::Sfi;
-        if pc < g.prog_len {
-            g.pc_cycles[pc] += cost.get();
-            g.pc_hits[pc] += 1;
-            if sfi {
-                g.pc_sfi[pc] += cost.get();
-            }
-        }
+        g.instrs += instrs;
         let node = &mut g.nodes[g.cur as usize];
-        if sfi {
-            node.sfi += cost.get();
-        } else {
-            node.cycles += cost.get();
+        node.cycles += graft.get();
+        node.sfi += sfi.get();
+    }
+
+    /// Adds `hits` retirements of the instruction at `pc`, each costing
+    /// `cost` cycles of component `c`, to `tag`'s per-PC ledger only.
+    /// Zero-allocation.
+    pub fn record_pc_hits(&self, tag: ProfTag, pc: usize, hits: u64, c: Component, cost: Cycles) {
+        let mut grafts = self.grafts.borrow_mut();
+        let Some(g) = grafts.get_mut(tag.0 as usize) else { return };
+        if pc < g.prog_len {
+            let cycles = hits * cost.get();
+            g.pc_cycles[pc] += cycles;
+            g.pc_hits[pc] += hits;
+            if c == Component::Sfi {
+                g.pc_sfi[pc] += cycles;
+            }
         }
     }
 
@@ -455,11 +474,7 @@ impl ProfilePlane {
     /// (mirroring the metrics plane).
     pub fn mark_fallback(&self) {
         let pending = self.pending_indirection.replace(0);
-        if pending > 0 {
-            let mut v = self.kernel_comps.get();
-            v[Component::Indirection as usize] += pending;
-            self.kernel_comps.set(v);
-        }
+        self.kernel_comps.add(Component::Indirection as usize, pending);
     }
 
     /// Records a child span of `kind` that just finished and lasted
@@ -527,7 +542,7 @@ impl ProfilePlane {
 
     /// Cycles attributed to kernel-side work outside any invocation.
     pub fn kernel_attribution(&self) -> [u64; Component::COUNT] {
-        self.kernel_comps.get()
+        self.kernel_comps.load()
     }
 
     /// Instructions retired by `tag`.
@@ -677,7 +692,7 @@ impl ProfilePlane {
                 }
             }
         }
-        let kernel = self.kernel_comps.get();
+        let kernel = self.kernel_comps.load();
         for c in Component::ALL {
             let v = kernel[c as usize];
             if v > 0 {

@@ -28,6 +28,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::clock::{Cycles, VirtualClock};
+use crate::plane::CellCounters;
 
 /// Default ring capacity, in records.
 pub const DEFAULT_CAPACITY: usize = 1024;
@@ -667,6 +668,45 @@ pub struct TraceStats {
     pub dropped: u64,
 }
 
+/// [`TraceStats`] slots in the plane's counter array: one per
+/// [`TraceCategory`] (indexed by discriminant), then the two totals.
+const STAT_TOTAL: usize = 8;
+const STAT_DROPPED: usize = 9;
+const STAT_SLOTS: usize = 10;
+const _: () = assert!(TraceCategory::Repl as usize + 1 == STAT_TOTAL);
+
+impl TraceStats {
+    fn from_slots(v: [u64; STAT_SLOTS]) -> TraceStats {
+        TraceStats {
+            vm: v[TraceCategory::Vm as usize],
+            txn: v[TraceCategory::Txn as usize],
+            rm: v[TraceCategory::Rm as usize],
+            fs: v[TraceCategory::Fs as usize],
+            graft: v[TraceCategory::Graft as usize],
+            net: v[TraceCategory::Net as usize],
+            watch: v[TraceCategory::Watch as usize],
+            repl: v[TraceCategory::Repl as usize],
+            total: v[STAT_TOTAL],
+            dropped: v[STAT_DROPPED],
+        }
+    }
+
+    fn to_slots(self) -> [u64; STAT_SLOTS] {
+        let mut v = [0; STAT_SLOTS];
+        v[TraceCategory::Vm as usize] = self.vm;
+        v[TraceCategory::Txn as usize] = self.txn;
+        v[TraceCategory::Rm as usize] = self.rm;
+        v[TraceCategory::Fs as usize] = self.fs;
+        v[TraceCategory::Graft as usize] = self.graft;
+        v[TraceCategory::Net as usize] = self.net;
+        v[TraceCategory::Watch as usize] = self.watch;
+        v[TraceCategory::Repl as usize] = self.repl;
+        v[STAT_TOTAL] = self.total;
+        v[STAT_DROPPED] = self.dropped;
+        v
+    }
+}
+
 impl fmt::Display for TraceStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -741,7 +781,10 @@ impl Ring {
             false
         } else {
             self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.cap;
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
             true
         }
     }
@@ -781,7 +824,8 @@ pub struct TracePlane {
     node: Cell<NodeId>,
     ring: RefCell<Ring>,
     seq: Cell<u64>,
-    stats: Cell<TraceStats>,
+    /// [`TraceStats`] as counter slots (see `STAT_TOTAL`).
+    stats: CellCounters<STAT_SLOTS>,
     names: RefCell<Vec<String>>,
     tags: RefCell<HashMap<String, GraftTag>>,
     post: RefCell<Option<PostMortem>>,
@@ -820,7 +864,7 @@ impl TracePlane {
             node: Cell::new(node),
             ring: RefCell::new(Ring { buf: Vec::with_capacity(capacity), cap: capacity, head: 0 }),
             seq: Cell::new(0),
-            stats: Cell::new(TraceStats::default()),
+            stats: CellCounters::new(),
             names: RefCell::new(Vec::new()),
             tags: RefCell::new(HashMap::new()),
             post: RefCell::new(None),
@@ -895,27 +939,16 @@ impl TracePlane {
         let seq = self.seq.get();
         self.seq.set(seq + 1);
         let rec = TraceRecord { seq, at: self.clock.now(), ctx, event };
-        let mut stats = self.stats.get();
-        stats.total += 1;
-        match event.category() {
-            TraceCategory::Vm => stats.vm += 1,
-            TraceCategory::Txn => stats.txn += 1,
-            TraceCategory::Rm => stats.rm += 1,
-            TraceCategory::Fs => stats.fs += 1,
-            TraceCategory::Graft => stats.graft += 1,
-            TraceCategory::Net => stats.net += 1,
-            TraceCategory::Watch => stats.watch += 1,
-            TraceCategory::Repl => stats.repl += 1,
-        }
+        self.stats.add(STAT_TOTAL, 1);
+        self.stats.add(event.category() as usize, 1);
         if self.ring.borrow_mut().push(rec) {
-            stats.dropped += 1;
+            self.stats.add(STAT_DROPPED, 1);
         }
-        self.stats.set(stats);
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> TraceStats {
-        self.stats.get()
+        TraceStats::from_slots(self.stats.load())
     }
 
     /// Events emitted so far (equals the next record's `seq`).
@@ -944,7 +977,7 @@ impl TracePlane {
             records: self.ring.borrow().ordered(),
             cap: self.ring.borrow().cap,
             seq: self.seq.get(),
-            stats: self.stats.get(),
+            stats: self.stats(),
             names: self.names.borrow().clone(),
             post: self.post.borrow().clone(),
             pm_window: self.pm_window.get(),
@@ -962,7 +995,7 @@ impl TracePlane {
         buf.extend_from_slice(&st.records);
         *self.ring.borrow_mut() = Ring { buf, cap: st.cap, head: 0 };
         self.seq.set(st.seq);
-        self.stats.set(st.stats);
+        self.stats.store(&st.stats.to_slots());
         *self.names.borrow_mut() = st.names.clone();
         let mut tags = self.tags.borrow_mut();
         tags.clear();
@@ -1238,7 +1271,7 @@ impl fmt::Debug for TracePlane {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TracePlane")
             .field("len", &self.seq.get())
-            .field("stats", &self.stats.get())
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -1402,9 +1435,14 @@ mod tests {
         let ctx = p.mint_span(SpanId::NONE);
         p.set_ctx(ctx);
         p.emit(TraceEvent::FsRead { fd: 1, len: 1 });
+        for _ in 0..9 {
+            p.emit(TraceEvent::NetRx { port: 1, len: 1 });
+        }
         let st = p.export_state();
         let q = plane(8);
         q.restore_state(&st);
+        assert_eq!(q.stats(), p.stats(), "every stat slot round-trips");
+        assert_eq!((q.stats().fs, q.stats().net, q.stats().dropped), (1, 9, 2));
         assert_eq!(q.ctx(), ctx);
         assert_eq!(q.node(), p.node());
         assert_eq!(q.mint_span(SpanId::NONE).span, SpanId::new(NodeId(0), 2));

@@ -8,6 +8,34 @@
 //! resume or the transaction manager can abort. This is how Rule 1 of
 //! Table 1 ("Grafts must be preemptible") is implemented: a graft with
 //! `while (1);` gets exactly its timeslice and no more (§2.2).
+//!
+//! # Runs and plane billing
+//!
+//! [`Vm::predecode`] splits the program once, at install, into
+//! straight-line *runs*: from any pc to the first `jmp`, `br`, `call`,
+//! `calli`, `calll`, `ret` or `halt` (or the program end). The
+//! interpreter enters one run at a time and bills the observability
+//! planes per run, not per retired instruction:
+//!
+//! - **Clock and trace** stay per instruction: each instruction charges
+//!   the clock as it retires, so `vm.sfi` trace records keep their exact
+//!   stamps.
+//! - **Metrics and profile attribution** accumulate in the VM and are
+//!   flushed before every host call (`call`/`calli`, which may open a
+//!   nested invocation bracket), before the profile call tree moves
+//!   (`calll`/`ret`), and at window end. SFI counters are flushed from
+//!   the [`RunStats`] deltas at the same points.
+//! - **The per-PC profile ledger** is folded at window end from run
+//!   entry and cut-short counts, using each pc's static cost.
+//! - **Fault visits**: a run whose [`FaultSite::VmTrap`] visits cannot
+//!   fire (no rate set, the next armed one-shot lies beyond it) records
+//!   them in bulk up front and returns the ones a trap left unreached.
+//!   Any other run calls [`FaultPlane::fire`] before each instruction,
+//!   exactly as a per-instruction interpreter would, so the RNG draw
+//!   order never changes.
+//!
+//! Every cycle total, counter, ledger and trace record is therefore the
+//! same as billing each instruction individually; only host time drops.
 
 use std::rc::Rc;
 
@@ -152,6 +180,95 @@ pub struct RunStats {
     pub host_calls: u64,
 }
 
+/// The cycle cost of `instr` and the overhead component it bills:
+/// [`Component::Sfi`] for MiSFIT sandbox ops, [`Component::GraftFn`]
+/// for everything else (host functions attribute their own interior
+/// costs).
+fn cost_of(instr: Instr) -> (Component, u64) {
+    match instr {
+        Instr::Const { .. }
+        | Instr::Mov { .. }
+        | Instr::Alu { .. }
+        | Instr::AluI { .. }
+        | Instr::Halt { .. }
+        | Instr::Nop => (Component::GraftFn, costs::INSTR_CYCLES),
+        Instr::LoadW { .. } | Instr::LoadB { .. } => (Component::GraftFn, costs::LOAD_CYCLES),
+        Instr::StoreW { .. } | Instr::StoreB { .. } => (Component::GraftFn, costs::STORE_CYCLES),
+        Instr::Jmp { .. } | Instr::Br { .. } => (Component::GraftFn, costs::BRANCH_CYCLES),
+        Instr::Call { .. } | Instr::CallI { .. } | Instr::CallLocal { .. } => {
+            (Component::GraftFn, costs::CALL_CYCLES)
+        }
+        Instr::Ret => (Component::GraftFn, costs::RET_CYCLES),
+        Instr::Clamp { .. } => (Component::Sfi, costs::SFI_CLAMP_CYCLES),
+        Instr::CheckCall { .. } => (Component::Sfi, costs::SFI_CALLCHECK_CYCLES),
+    }
+}
+
+/// True if `instr` ends a straight-line run: it may transfer control
+/// or call out of the VM.
+fn ends_run(instr: Instr) -> bool {
+    matches!(
+        instr,
+        Instr::Jmp { .. }
+            | Instr::Br { .. }
+            | Instr::Call { .. }
+            | Instr::CallI { .. }
+            | Instr::CallLocal { .. }
+            | Instr::Ret
+            | Instr::Halt { .. }
+    )
+}
+
+/// One pc's predecoded facts plus its profile tallies for the current
+/// window.
+#[derive(Debug, Clone, Copy)]
+struct PcInfo {
+    /// Instructions from this pc through the end of its run, inclusive.
+    run: u32,
+    /// The component the instruction bills and its static cycle cost.
+    comp: Component,
+    cost: u64,
+    /// Runs entered at this pc since the last fold.
+    entries: u64,
+    /// Runs that stopped at this pc short of their end (fuel or trap).
+    cuts: u64,
+}
+
+/// A program's run table (see [`Vm::predecode`]).
+#[derive(Debug, Default)]
+struct Decoded {
+    /// The decoded program's identity: instruction buffer address and
+    /// length.
+    key: (usize, usize),
+    pcs: Vec<PcInfo>,
+    /// Pcs `lo..=hi` may hold unfolded tallies (empty when `lo > hi`).
+    lo: usize,
+    hi: usize,
+}
+
+impl Decoded {
+    fn new(prog: &Program) -> Decoded {
+        let mut pcs: Vec<PcInfo> = prog
+            .instrs
+            .iter()
+            .map(|&i| {
+                let (comp, cost) = cost_of(i);
+                PcInfo { run: 1, comp, cost, entries: 0, cuts: 0 }
+            })
+            .collect();
+        for pc in (0..pcs.len().saturating_sub(1)).rev() {
+            if !ends_run(prog.instrs[pc]) {
+                pcs[pc].run = pcs[pc + 1].run + 1;
+            }
+        }
+        Decoded { key: Decoded::key_of(prog), pcs, lo: usize::MAX, hi: 0 }
+    }
+
+    fn key_of(prog: &Program) -> (usize, usize) {
+        (prog.instrs.as_ptr() as usize, prog.instrs.len())
+    }
+}
+
 /// A graft execution context: registers, pc, local call stack and memory.
 #[derive(Debug)]
 pub struct Vm {
@@ -170,6 +287,14 @@ pub struct Vm {
     trace: Option<Rc<TracePlane>>,
     metrics: Option<Rc<MetricsPlane>>,
     profile: Option<(Rc<ProfilePlane>, ProfTag)>,
+    decoded: Decoded,
+    /// [`Component::GraftFn`] cycles charged to the clock but not yet
+    /// to the metrics and profile planes.
+    pending_fn: u64,
+    /// [`Component::Sfi`] cycles likewise.
+    pending_sfi: u64,
+    /// `stats` as of the last flush to the planes (or the window start).
+    flushed: RunStats,
 }
 
 impl Vm {
@@ -191,6 +316,10 @@ impl Vm {
             trace: None,
             metrics: None,
             profile: None,
+            decoded: Decoded::default(),
+            pending_fn: 0,
+            pending_sfi: 0,
+            flushed: RunStats::default(),
         }
     }
 
@@ -224,20 +353,90 @@ impl Vm {
         self.profile = Some((plane, tag));
     }
 
-    /// Charges `cost` to the clock and attributes it to `comp`.
-    ///
-    /// Called as the first action of every [`step`](Self::step) arm,
-    /// while `self.pc` still holds the post-increment value — so the
-    /// retiring instruction is at `self.pc - 1` and the profile plane
-    /// can bill per-PC before any control transfer rewrites `pc`.
-    fn bill(&self, clock: &Rc<VirtualClock>, comp: Component, cost: Cycles) {
-        clock.charge(cost);
+    /// Builds `prog`'s run table: per pc, the length of its straight-line
+    /// run plus the static cost and component of the instruction. The
+    /// grafting layer calls this once at install; [`run`](Self::run)
+    /// decodes on its own only when handed a program other than the one
+    /// last decoded (matched by instruction buffer and length).
+    pub fn predecode(&mut self, prog: &Program) {
+        self.decoded = Decoded::new(prog);
+    }
+
+    /// Charges `cost` to the clock and holds it for the metrics and
+    /// profile planes, which receive it at the next
+    /// [`flush`](Self::flush). Called first in every [`step`](Self::step).
+    fn bill(&mut self, clock: &Rc<VirtualClock>, comp: Component, cost: u64) {
+        clock.charge(Cycles(cost));
+        if comp == Component::Sfi {
+            self.pending_sfi += cost;
+        } else {
+            self.pending_fn += cost;
+        }
+    }
+
+    /// Hands the held cycles and the SFI check counts retired since the
+    /// last flush to the metrics plane and the profile plane's current
+    /// call-tree node. Runs wherever the innermost invocation bracket or
+    /// the call tree may change next: before host calls, before
+    /// `calll`/`ret` move the call tree, and at window end.
+    fn flush(&mut self) {
+        let graft = std::mem::take(&mut self.pending_fn);
+        let sfi = std::mem::take(&mut self.pending_sfi);
+        let (now, was) = (self.stats, std::mem::replace(&mut self.flushed, self.stats));
+        let instrs = now.instrs - was.instrs;
         if let Some(mp) = &self.metrics {
-            mp.charge(comp, cost);
+            if graft > 0 {
+                mp.charge(Component::GraftFn, Cycles(graft));
+            }
+            if sfi > 0 {
+                mp.charge(Component::Sfi, Cycles(sfi));
+            }
+            mp.add(Counter::SfiClamps, now.clamps - was.clamps);
+            mp.add(Counter::SfiCallchecks, now.checkcalls - was.checkcalls);
         }
         if let Some((pp, tag)) = &self.profile {
-            pp.record_pc(*tag, self.pc.wrapping_sub(1), comp, cost);
+            if instrs > 0 {
+                pp.charge_retired(*tag, Cycles(graft), Cycles(sfi), instrs);
+            }
         }
+    }
+
+    /// Records that a run entered at `start` retired `retired`
+    /// instructions, for the per-PC fold.
+    fn note_run(&mut self, start: usize, retired: usize) {
+        if self.profile.is_none() || retired == 0 {
+            return;
+        }
+        let d = &mut self.decoded;
+        let run = d.pcs[start].run as usize;
+        d.pcs[start].entries += 1;
+        if retired < run {
+            d.pcs[start + retired - 1].cuts += 1;
+        }
+        d.lo = d.lo.min(start);
+        d.hi = d.hi.max(start + run - 1);
+    }
+
+    /// Folds the window's run tallies into the profile plane's per-PC
+    /// ledger: a pc retired once per run entered at or before it (within
+    /// its run) that was not cut short before it.
+    fn fold_hits(&mut self) {
+        let Some((pp, tag)) = &self.profile else { return };
+        let d = &mut self.decoded;
+        let mut live = 0u64;
+        for pc in d.lo..=d.hi {
+            let info = &mut d.pcs[pc];
+            live += std::mem::take(&mut info.entries);
+            if live > 0 {
+                pp.record_pc_hits(*tag, pc, live, info.comp, Cycles(info.cost));
+            }
+            live -= std::mem::take(&mut info.cuts);
+            if info.run == 1 {
+                live = 0;
+            }
+        }
+        d.lo = usize::MAX;
+        d.hi = 0;
     }
 
     /// Resets pc/registers/stats for a fresh invocation, keeping memory.
@@ -264,8 +463,14 @@ impl Vm {
         clock: &Rc<VirtualClock>,
         fuel: &mut u64,
     ) -> Exit {
+        if self.decoded.key != Decoded::key_of(prog) {
+            self.predecode(prog);
+        }
         let window_start = self.stats.instrs;
+        self.flushed = self.stats;
         let exit = self.run_window(prog, env, clock, fuel);
+        self.flush();
+        self.fold_hits();
         if let Some(mp) = &self.metrics {
             mp.inc(Counter::VmWindows);
             mp.add(Counter::VmInstrs, self.stats.instrs - window_start);
@@ -292,92 +497,143 @@ impl Vm {
             if *fuel == 0 {
                 return Exit::Preempted;
             }
-            let Some(&instr) = prog.instrs.get(self.pc) else {
-                return Exit::Trapped(Trap::PcOutOfRange { pc: self.pc });
+            let start = self.pc;
+            let Some(info) = self.decoded.pcs.get(start) else {
+                return Exit::Trapped(Trap::PcOutOfRange { pc: start });
             };
-            if let Some(plane) = &self.fault {
-                if plane.fire(FaultSite::VmTrap) {
-                    return Exit::Trapped(Trap::Injected { pc: self.pc });
-                }
-            }
-            *fuel -= 1;
-            self.stats.instrs += 1;
-            self.pc += 1;
-            match self.step(instr, env, clock) {
-                Ok(Flow::Continue) => {}
-                Ok(Flow::Halt(v)) => return Exit::Halted(v),
-                Err(t) => return Exit::Trapped(t),
+            // At least one instruction: fuel > 0 and every run is non-empty.
+            let n = (info.run as u64).min(*fuel) as usize;
+            let quiet = self
+                .fault
+                .as_ref()
+                .is_none_or(|fp| fp.record_quiet_visits(FaultSite::VmTrap, n as u64));
+            let (retired, exit) = if quiet {
+                self.drive::<false>(prog, n, env, clock)
+            } else {
+                self.drive::<true>(prog, n, env, clock)
+            };
+            *fuel -= retired as u64;
+            self.note_run(start, retired);
+            if let Some(exit) = exit {
+                return exit;
             }
         }
     }
 
+    /// Executes up to `n` instructions of the run at `self.pc` and
+    /// returns how many retired, plus the exit if the run ended the
+    /// window.
+    ///
+    /// The block driver (`CHECKED = false`) runs after the run's `n`
+    /// [`FaultSite::VmTrap`] visits were recorded in bulk and returns
+    /// the unreached ones on an early trap. The per-instruction driver
+    /// (`CHECKED = true`) asks [`FaultPlane::fire`] before each one.
+    #[inline(always)]
+    fn drive<const CHECKED: bool>(
+        &mut self,
+        prog: &Program,
+        n: usize,
+        env: &mut dyn KernelApi,
+        clock: &Rc<VirtualClock>,
+    ) -> (usize, Option<Exit>) {
+        for i in 0..n {
+            let Some(&instr) = prog.instrs.get(self.pc) else {
+                // Only reachable with a run table that does not match
+                // `prog`; stop as the per-instruction loop would.
+                let exit = Exit::Trapped(Trap::PcOutOfRange { pc: self.pc });
+                return self.stop_early::<CHECKED>(n, i, exit);
+            };
+            if CHECKED && self.fault.as_ref().is_some_and(|fp| fp.fire(FaultSite::VmTrap)) {
+                return (i, Some(Exit::Trapped(Trap::Injected { pc: self.pc })));
+            }
+            self.stats.instrs += 1;
+            self.pc += 1;
+            let exit = match self.step(instr, env, clock) {
+                Ok(Flow::Continue) => continue,
+                Ok(Flow::Halt(v)) => Exit::Halted(v),
+                Err(t) => Exit::Trapped(t),
+            };
+            return self.stop_early::<CHECKED>(n, i + 1, exit);
+        }
+        (n, None)
+    }
+
+    /// Ends a run of `n` planned instructions after `reached` of them:
+    /// the block driver returns the bulk-recorded fault visits it never
+    /// reached.
+    fn stop_early<const CHECKED: bool>(
+        &self,
+        n: usize,
+        reached: usize,
+        exit: Exit,
+    ) -> (usize, Option<Exit>) {
+        if !CHECKED {
+            if let Some(fp) = &self.fault {
+                fp.return_quiet_visits(FaultSite::VmTrap, (n - reached) as u64);
+            }
+        }
+        (reached, Some(exit))
+    }
+
+    #[inline(always)]
     fn step(
         &mut self,
         instr: Instr,
         env: &mut dyn KernelApi,
         clock: &Rc<VirtualClock>,
     ) -> Result<Flow, Trap> {
+        let (comp, cost) = cost_of(instr);
+        self.bill(clock, comp, cost);
         match instr {
             Instr::Const { d, imm } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::INSTR_CYCLES));
                 self.regs[d.idx()] = imm as u64;
             }
             Instr::Mov { d, s } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::INSTR_CYCLES));
                 self.regs[d.idx()] = self.regs[s.idx()];
             }
             Instr::Alu { op, d, a, b } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::INSTR_CYCLES));
                 let r = alu(op, self.regs[a.idx()], self.regs[b.idx()])?;
                 self.regs[d.idx()] = r;
             }
             Instr::AluI { op, d, a, imm } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::INSTR_CYCLES));
                 let r = alu(op, self.regs[a.idx()], imm as u64)?;
                 self.regs[d.idx()] = r;
             }
             Instr::LoadW { d, addr, off } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::LOAD_CYCLES));
                 self.stats.loads += 1;
                 let a = self.regs[addr.idx()].wrapping_add(off as i64 as u64);
                 self.regs[d.idx()] = self.mem.read(a, 4).map_err(Trap::Mem)?;
             }
             Instr::StoreW { s, addr, off } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::STORE_CYCLES));
                 self.stats.stores += 1;
                 let a = self.regs[addr.idx()].wrapping_add(off as i64 as u64);
                 self.mem.write(a, self.regs[s.idx()], 4).map_err(Trap::Mem)?;
             }
             Instr::LoadB { d, addr, off } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::LOAD_CYCLES));
                 self.stats.loads += 1;
                 let a = self.regs[addr.idx()].wrapping_add(off as i64 as u64);
                 self.regs[d.idx()] = self.mem.read(a, 1).map_err(Trap::Mem)?;
             }
             Instr::StoreB { s, addr, off } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::STORE_CYCLES));
                 self.stats.stores += 1;
                 let a = self.regs[addr.idx()].wrapping_add(off as i64 as u64);
                 self.mem.write(a, self.regs[s.idx()], 1).map_err(Trap::Mem)?;
             }
             Instr::Jmp { target } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::BRANCH_CYCLES));
                 self.pc = target as usize;
             }
             Instr::Br { cond, a, b, target } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::BRANCH_CYCLES));
                 if eval_cond(cond, self.regs[a.idx()], self.regs[b.idx()]) {
                     self.pc = target as usize;
                 }
             }
             Instr::Call { func } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::CALL_CYCLES));
                 self.stats.host_calls += 1;
                 let args = [self.regs[1], self.regs[2], self.regs[3], self.regs[4]];
+                self.flush();
                 self.regs[0] = env.host_call(func, args, &mut self.mem)?;
             }
             Instr::CallI { target } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::CALL_CYCLES));
                 let id = HostFnId(self.regs[target.idx()] as u32);
                 if !env.is_callable(id) {
                     // Un-instrumented code jumping through a wild pointer;
@@ -386,36 +642,36 @@ impl Vm {
                 }
                 self.stats.host_calls += 1;
                 let args = [self.regs[1], self.regs[2], self.regs[3], self.regs[4]];
+                self.flush();
                 self.regs[0] = env.host_call(id, args, &mut self.mem)?;
             }
             Instr::CallLocal { target } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::CALL_CYCLES));
                 if self.call_stack.len() >= self.cfg.max_call_depth {
                     return Err(Trap::CallDepthExceeded);
                 }
                 self.call_stack.push(self.pc);
                 self.pc = target as usize;
+                if self.profile.is_some() {
+                    self.flush();
+                }
                 if let Some((pp, tag)) = &self.profile {
                     pp.enter_fn(*tag, target);
                 }
             }
             Instr::Ret => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::RET_CYCLES));
                 self.pc = self.call_stack.pop().ok_or(Trap::RetWithoutCall)?;
+                if self.profile.is_some() {
+                    self.flush();
+                }
                 if let Some((pp, tag)) = &self.profile {
                     pp.exit_fn(*tag);
                 }
             }
             Instr::Halt { result } => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::INSTR_CYCLES));
                 return Ok(Flow::Halt(self.regs[result.idx()]));
             }
             Instr::Clamp { r } => {
-                self.bill(clock, Component::Sfi, Cycles(costs::SFI_CLAMP_CYCLES));
                 self.stats.clamps += 1;
-                if let Some(mp) = &self.metrics {
-                    mp.inc(Counter::SfiClamps);
-                }
                 if let Some(tp) = &self.trace {
                     tp.emit(TraceEvent::SfiCheck {
                         kind: SfiKind::Clamp,
@@ -425,11 +681,7 @@ impl Vm {
                 self.regs[r.idx()] = self.mem.clamp(self.regs[r.idx()]);
             }
             Instr::CheckCall { r } => {
-                self.bill(clock, Component::Sfi, Cycles(costs::SFI_CALLCHECK_CYCLES));
                 self.stats.checkcalls += 1;
-                if let Some(mp) = &self.metrics {
-                    mp.inc(Counter::SfiCallchecks);
-                }
                 if let Some(tp) = &self.trace {
                     tp.emit(TraceEvent::SfiCheck {
                         kind: SfiKind::CheckCall,
@@ -441,9 +693,7 @@ impl Vm {
                     return Err(Trap::ForbiddenCall { id });
                 }
             }
-            Instr::Nop => {
-                self.bill(clock, Component::GraftFn, Cycles(costs::INSTR_CYCLES));
-            }
+            Instr::Nop => {}
         }
         Ok(Flow::Continue)
     }
@@ -805,6 +1055,329 @@ mod tests {
                 TraceEvent::VmWindow { instrs: 1, exit: VmExitKind::Halt },
             ]
         );
+    }
+
+    /// Host fn #1 arms a [`FaultSite::VmTrap`] one-shot `ahead` visits
+    /// past the current one; every other id is unknown.
+    struct ArmingKernel {
+        plane: Rc<FaultPlane>,
+        ahead: u64,
+    }
+
+    impl KernelApi for ArmingKernel {
+        fn host_call(
+            &mut self,
+            id: HostFnId,
+            _args: [u64; 4],
+            _mem: &mut AddressSpace,
+        ) -> Result<u64, Trap> {
+            if id != HostFnId(1) {
+                return Err(Trap::UnknownFunction { id });
+            }
+            let now = self.plane.visits(FaultSite::VmTrap);
+            self.plane.arm(FaultSite::VmTrap, now + self.ahead);
+            Ok(0)
+        }
+        fn is_callable(&self, id: HostFnId) -> bool {
+            id == HostFnId(1)
+        }
+    }
+
+    /// Everything a sequence of windows leaves behind that billing per
+    /// run must keep equal to billing per instruction.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        exits: Vec<Exit>,
+        fuel_left: Vec<u64>,
+        instrs: u64,
+        visits: u64,
+        injected: u64,
+        clock: u64,
+        pc_hits: Vec<(usize, u64, u64, u64)>,
+        graft_cycles: Option<Cycles>,
+        sfi_checks: (u64, u64),
+    }
+
+    /// Runs `prog` for one window per entry of `fuels` with fault,
+    /// metrics and profile planes attached. `per_instr` sets a `VmTrap`
+    /// rate that never fires, which forces the per-instruction driver;
+    /// `arm` arms a one-shot at that visit.
+    fn observe(prog: &Program, fuels: &[u64], arm: Option<u64>, per_instr: bool) -> Observed {
+        use vino_sim::fault::{FaultPlane, FaultSite};
+        use vino_sim::metrics::MetricsPlane;
+        use vino_sim::profile::ProfilePlane;
+        let (mut vm, clock) = ctx();
+        let fp = FaultPlane::seeded(7);
+        if per_instr {
+            fp.set_rate(FaultSite::VmTrap, 1, u64::MAX);
+        }
+        if let Some(nth) = arm {
+            fp.arm(FaultSite::VmTrap, nth);
+        }
+        let mp = MetricsPlane::new(Rc::clone(&clock));
+        let pp = ProfilePlane::new(Rc::clone(&clock));
+        let tag = pp.tag("t");
+        pp.register_program(tag, prog.instrs.len());
+        let mtag = mp.tag("t");
+        mp.begin_invocation(mtag);
+        vm.set_fault_plane(Rc::clone(&fp));
+        vm.set_metrics_plane(Rc::clone(&mp));
+        vm.set_profile_plane(Rc::clone(&pp), tag);
+        vm.predecode(prog);
+        let mut env = ArmingKernel { plane: Rc::clone(&fp), ahead: 2 };
+        let (mut exits, mut fuel_left) = (Vec::new(), Vec::new());
+        for &f in fuels {
+            let mut fuel = f;
+            exits.push(vm.run(prog, &mut env, &clock, &mut fuel));
+            fuel_left.push(fuel);
+        }
+        mp.end_invocation(true);
+        // Only one-shots fire: each injection ends a window, and the
+        // forcing rate's draws would add injections the block driver
+        // cannot match.
+        let injections = exits.iter().filter(|e| matches!(e, Exit::Trapped(Trap::Injected { .. })));
+        assert_eq!(fp.injected(FaultSite::VmTrap), injections.count() as u64);
+        Observed {
+            exits,
+            fuel_left,
+            instrs: vm.stats.instrs,
+            visits: fp.visits(FaultSite::VmTrap),
+            injected: fp.injected(FaultSite::VmTrap),
+            clock: clock.now().get(),
+            pc_hits: pp.pc_buckets(tag, 1),
+            graft_cycles: mp.attribution(mtag).map(|a| a.of(Component::GraftFn)),
+            sfi_checks: (mp.get(Counter::SfiClamps), mp.get(Counter::SfiCallchecks)),
+        }
+    }
+
+    /// Observes `prog` under both drivers, asserts they agree, and
+    /// returns the common observation.
+    fn both_drivers(prog: &Program, fuels: &[u64], arm: Option<u64>) -> Observed {
+        let block = observe(prog, fuels, arm, false);
+        let per_instr = observe(prog, fuels, arm, true);
+        assert_eq!(block, per_instr, "block driver diverged from the per-instruction driver");
+        block
+    }
+
+    /// Retirements per pc, indexed by pc.
+    fn hits(o: &Observed, len: usize) -> Vec<u64> {
+        let mut v = vec![0; len];
+        for &(pc, _, _, h) in &o.pc_hits {
+            v[pc] = h;
+        }
+        v
+    }
+
+    /// Eight straight-line instructions (one with an SFI clamp) closed
+    /// by a backward jump: one nine-instruction run.
+    fn straight_loop() -> Program {
+        let mut instrs = vec![Instr::Nop; 8];
+        instrs[3] = Instr::Clamp { r: Reg(1) };
+        instrs.push(Instr::Jmp { target: 0 });
+        Program::new("loop", instrs)
+    }
+
+    #[test]
+    fn run_table_ends_runs_at_control_transfers() {
+        let prog = Program::new(
+            "t",
+            vec![
+                Instr::Nop,
+                Instr::Clamp { r: Reg(1) },
+                Instr::Br { cond: Cond::Eq, a: Reg(0), b: Reg(0), target: 0 },
+                Instr::Nop,
+                Instr::Call { func: HostFnId(1) },
+                Instr::Nop,
+            ],
+        );
+        let d = Decoded::new(&prog);
+        let runs: Vec<u32> = d.pcs.iter().map(|p| p.run).collect();
+        assert_eq!(runs, [3, 2, 1, 2, 1, 1], "the last run ends at the program end");
+        assert_eq!((d.pcs[0].comp, d.pcs[1].comp), (Component::GraftFn, Component::Sfi));
+        assert_eq!(d.pcs[1].cost, costs::SFI_CLAMP_CYCLES);
+        assert_eq!(d.pcs[4].cost, costs::CALL_CYCLES);
+    }
+
+    #[test]
+    fn fuel_cut_inside_a_run_matches_per_instruction() {
+        let prog = straight_loop();
+        let o = both_drivers(&prog, &[3, 5, 4, 11], None);
+        assert_eq!(o.exits, vec![Exit::Preempted; 4]);
+        assert_eq!(o.instrs, 23);
+        assert_eq!(o.visits, 23);
+        // 23 = two full nine-instruction laps plus five more.
+        assert_eq!(hits(&o, 9), [3, 3, 3, 3, 3, 2, 2, 2, 2]);
+        assert_eq!(o.sfi_checks, (3, 0));
+    }
+
+    #[test]
+    fn memory_trap_inside_a_run_matches_per_instruction() {
+        let prog = Program::new(
+            "wild-load",
+            vec![
+                Instr::Const { d: Reg(1), imm: 0x10 },
+                Instr::Nop,
+                Instr::LoadW { d: Reg(2), addr: Reg(1), off: 0 },
+                Instr::Nop,
+                Instr::Halt { result: Reg(0) },
+            ],
+        );
+        let o = both_drivers(&prog, &[100], None);
+        assert!(matches!(o.exits[0], Exit::Trapped(Trap::Mem(MemError::Unmapped { .. }))));
+        assert_eq!((o.instrs, o.visits, o.fuel_left[0]), (3, 3, 97));
+        assert_eq!(hits(&o, 5), [1, 1, 1, 0, 0]);
+    }
+
+    #[test]
+    fn div_by_zero_inside_a_run_matches_per_instruction() {
+        let prog = Program::new(
+            "div0",
+            vec![
+                Instr::Const { d: Reg(1), imm: 9 },
+                Instr::Alu { op: AluOp::Div, d: Reg(0), a: Reg(1), b: Reg(2) },
+                Instr::Nop,
+                Instr::Nop,
+                Instr::Halt { result: Reg(0) },
+            ],
+        );
+        let o = both_drivers(&prog, &[100], None);
+        assert_eq!(o.exits, vec![Exit::Trapped(Trap::DivByZero)]);
+        assert_eq!((o.instrs, o.visits), (2, 2));
+        assert_eq!(hits(&o, 5), [1, 1, 0, 0, 0]);
+        assert_eq!(o.graft_cycles, Some(Cycles(2 * costs::INSTR_CYCLES)));
+    }
+
+    #[test]
+    fn injected_trap_at_every_offset_of_a_run_matches_per_instruction() {
+        let prog = straight_loop();
+        // Visits 1..=9 land on the first lap's run, 10..=18 on the
+        // second's.
+        for nth in 1..=18u64 {
+            let o = both_drivers(&prog, &[100], Some(nth));
+            let pc = ((nth - 1) % 9) as usize;
+            assert_eq!(o.exits, vec![Exit::Trapped(Trap::Injected { pc })], "visit {nth}");
+            assert_eq!(o.instrs, nth - 1, "the trapped instruction never retires");
+            assert_eq!((o.visits, o.injected), (nth, 1));
+            let want: Vec<u64> = (0..9).map(|p| (nth - 1) / 9 + u64::from(p < pc)).collect();
+            assert_eq!(hits(&o, 9), want, "visit {nth}");
+        }
+    }
+
+    #[test]
+    fn host_call_arming_vm_trap_mid_window_matches_per_instruction() {
+        let prog = Program::new(
+            "arming",
+            vec![
+                Instr::Nop,
+                Instr::Call { func: HostFnId(1) },
+                Instr::Nop,
+                Instr::Nop,
+                Instr::Nop,
+                Instr::Halt { result: Reg(0) },
+            ],
+        );
+        let o = both_drivers(&prog, &[100], None);
+        // The call's own visit is the second; the one-shot lands two
+        // visits later, on pc 3.
+        assert_eq!(o.exits, vec![Exit::Trapped(Trap::Injected { pc: 3 })]);
+        assert_eq!((o.instrs, o.visits, o.injected), (3, 4, 1));
+        assert_eq!(hits(&o, 6), [1, 1, 1, 0, 0, 0]);
+    }
+
+    #[test]
+    fn host_calls_see_every_cycle_billed_before_them() {
+        use vino_sim::metrics::MetricsPlane;
+        use vino_sim::profile::ProfilePlane;
+        /// Host fn #1 reads the planes: a host call may open a nested
+        /// bracket or read the ledgers, so they must be current.
+        struct Reader {
+            mp: Rc<MetricsPlane>,
+            pp: Rc<ProfilePlane>,
+            tag: ProfTag,
+            seen: Option<(u64, [u64; Component::COUNT], u64)>,
+        }
+        impl KernelApi for Reader {
+            fn host_call(
+                &mut self,
+                _id: HostFnId,
+                _args: [u64; 4],
+                _mem: &mut AddressSpace,
+            ) -> Result<u64, Trap> {
+                let clamps = self.mp.get(Counter::SfiClamps);
+                self.seen =
+                    Some((self.pp.instrs_of(self.tag), self.mp.kernel_attribution(), clamps));
+                Ok(0)
+            }
+            fn is_callable(&self, _id: HostFnId) -> bool {
+                true
+            }
+        }
+        let (mut vm, clock) = ctx();
+        let mp = MetricsPlane::new(Rc::clone(&clock));
+        let pp = ProfilePlane::new(Rc::clone(&clock));
+        let tag = pp.tag("t");
+        vm.set_metrics_plane(Rc::clone(&mp));
+        vm.set_profile_plane(Rc::clone(&pp), tag);
+        let prog = Program::new(
+            "t",
+            vec![
+                Instr::Nop,
+                Instr::Clamp { r: Reg(1) },
+                Instr::Call { func: HostFnId(1) },
+                Instr::Halt { result: Reg(0) },
+            ],
+        );
+        let mut env = Reader { mp, pp, tag, seen: None };
+        let mut fuel = 10;
+        assert_eq!(vm.run(&prog, &mut env, &clock, &mut fuel), Exit::Halted(0));
+        let (instrs, comps, clamps) = env.seen.expect("the host call ran");
+        assert_eq!(instrs, 3, "the call itself has retired");
+        assert_eq!(comps[Component::GraftFn as usize], costs::INSTR_CYCLES + costs::CALL_CYCLES);
+        assert_eq!(comps[Component::Sfi as usize], costs::SFI_CLAMP_CYCLES);
+        assert_eq!(clamps, 1);
+    }
+
+    #[test]
+    fn calll_and_ret_bill_each_function_its_own_cycles() {
+        use vino_sim::profile::ProfilePlane;
+        let (mut vm, clock) = ctx();
+        let pp = ProfilePlane::new(Rc::clone(&clock));
+        let tag = pp.tag("t");
+        pp.register_program(tag, 7);
+        vm.set_profile_plane(Rc::clone(&pp), tag);
+        let prog = Program::new(
+            "t",
+            vec![
+                Instr::Nop,
+                Instr::CallLocal { target: 4 },
+                Instr::Nop,
+                Instr::Halt { result: Reg(0) },
+                Instr::Nop,
+                Instr::Nop,
+                Instr::Ret,
+            ],
+        );
+        let mut fuel = 100;
+        assert_eq!(vm.run(&prog, &mut NullKernel, &clock, &mut fuel), Exit::Halted(0));
+        let folded = pp.folded();
+        let caller = 3 * costs::INSTR_CYCLES + costs::CALL_CYCLES;
+        let callee = 2 * costs::INSTR_CYCLES + costs::RET_CYCLES;
+        assert!(folded.contains(&format!("t;fn@0 {caller}\n")), "{folded}");
+        assert!(folded.contains(&format!("t;fn@0;fn@4 {callee}\n")), "{folded}");
+    }
+
+    #[test]
+    fn run_redecodes_a_different_program() {
+        let (mut vm, clock) = ctx();
+        let a = Program::new("a", vec![Instr::Nop, Instr::Halt { result: Reg(0) }]);
+        let b = Program::new(
+            "b",
+            vec![Instr::Const { d: Reg(0), imm: 5 }, Instr::Nop, Instr::Halt { result: Reg(0) }],
+        );
+        vm.predecode(&a);
+        let mut fuel = 10;
+        assert_eq!(vm.run(&b, &mut NullKernel, &clock, &mut fuel), Exit::Halted(5));
+        assert_eq!(vm.decoded.pcs.len(), 3);
     }
 
     #[test]

@@ -15,6 +15,9 @@ cargo build --release
 echo "== workspace tests =="
 cargo test -q --workspace
 
+echo "== benchmark self-test (perfbench builds, metric names match BENCHMARK.json, virtual replay) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== survival battery (pinned seeds) =="
 SURVIVAL_SEEDS="3405691582,1122334455,987654321" cargo test -q --test survival
 
