@@ -1,6 +1,6 @@
 //! The machine-readable bench census: `vino-bench census [--json]`.
 //!
-//! Three sweeps, each also emitted as a `BENCH_<name>.json` file when
+//! Four sweeps, each also emitted as a `BENCH_<name>.json` file when
 //! `--json` is passed (hand-rolled serialization — the census has no
 //! dependency beyond `std`):
 //!
@@ -15,10 +15,16 @@
 //! - `repl_window` — the replication window sweep: shipped frames,
 //!   retransmissions, drops, and drain rounds to convergence at each
 //!   window size over a lossy wire, all in deterministic virtual time.
+//! - `checksum` — wall-clock ns/KB for the journal's FNV-1a 64: one
+//!   chain over a data block and over a zero block, and the two-lane
+//!   helper over a pair of data blocks. Host measurements, like
+//!   `planes`.
 
 use std::rc::Rc;
 use std::time::Instant;
 
+use vino_fs::layout::{checksum64, checksum64_x2};
+use vino_fs::BLOCK_SIZE;
 use vino_repl::{ReplConfig, ReplHarness};
 use vino_sim::clock::VirtualClock;
 use vino_sim::fault::FaultSite;
@@ -150,6 +156,54 @@ pub fn planes_census() -> Census {
     Census { name: "planes", text, json: json_doc("planes", "ns_per_op", &rows) }
 }
 
+/// The journal checksum census: ns per KB hashed by [`checksum64`]
+/// over a data block and a zero block, and by [`checksum64_x2`] over a
+/// pair of data blocks, measured in host time.
+pub fn checksum_census() -> Census {
+    const ITERS: u64 = 5_000;
+    let kb = |bytes: usize| bytes as f64 / 1024.0;
+    let mut data = [0u8; BLOCK_SIZE];
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for byte in &mut data {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *byte = x as u8;
+    }
+    let other = data.map(|b| b.rotate_left(3));
+    let zero = [0u8; BLOCK_SIZE];
+    // Inputs and sums go through `black_box`, so the optimizer can
+    // neither hash a constant block once nor drop an unused sum.
+    let ops = [
+        (
+            "checksum64_data_block",
+            ns_per_op(ITERS, || {
+                std::hint::black_box(checksum64(std::hint::black_box(&data)));
+            }) / kb(BLOCK_SIZE),
+        ),
+        (
+            "checksum64_zero_block",
+            ns_per_op(ITERS, || {
+                std::hint::black_box(checksum64(std::hint::black_box(&zero)));
+            }) / kb(BLOCK_SIZE),
+        ),
+        (
+            "checksum64_x2_block_pair",
+            ns_per_op(ITERS, || {
+                let (a, b) = std::hint::black_box((&data, &other));
+                std::hint::black_box(checksum64_x2(a, b));
+            }) / kb(2 * BLOCK_SIZE),
+        ),
+    ];
+    let mut text = String::from("op                       | ns/KB (host wall clock)\n-------------------------+------------------------\n");
+    let mut rows = Vec::new();
+    for (op, ns) in &ops {
+        text.push_str(&format!("{op:<24} | {ns:.1}\n"));
+        rows.push(vec![("op", json_str(op)), ("ns", format!("{ns:.1}"))]);
+    }
+    Census { name: "checksum", text, json: json_doc("checksum", "ns_per_kb", &rows) }
+}
+
 /// One window-sweep row over a lossy wire, drained to convergence in
 /// deterministic virtual time.
 fn repl_window_row(seed: u64, steps: usize, window: u64) -> (u64, u64, u64, u64, u64) {
@@ -192,9 +246,14 @@ pub fn repl_window_census(seed: u64, steps: usize) -> Census {
     Census { name: "repl_window", text, json: json_doc("repl_window", "records", &rows) }
 }
 
-/// Runs all three censuses.
+/// Runs all four censuses.
 pub fn run_all(reps: usize, seed: u64, steps: usize) -> Vec<Census> {
-    vec![netfilter_census(reps), planes_census(), repl_window_census(seed, steps)]
+    vec![
+        netfilter_census(reps),
+        planes_census(),
+        repl_window_census(seed, steps),
+        checksum_census(),
+    ]
 }
 
 #[cfg(test)]
@@ -211,12 +270,10 @@ mod tests {
         assert!(c.json_file() == "BENCH_netfilter.json");
     }
 
-    #[test]
-    fn planes_census_measures_every_hot_path() {
-        let c = planes_census();
-        for op in
-            ["trace_emit", "trace_emit_with_ctx", "mint_span", "ctx_wire_roundtrip", "metrics_inc"]
-        {
+    /// Asserts the host census `c` has exactly one row per op in
+    /// `ops`, each reading more than 0 ns.
+    fn assert_measures_every_op(c: &Census, ops: &[&str]) {
+        for op in ops {
             assert!(c.json.contains(&format!("\"op\": \"{op}\"")), "missing {op}:\n{}", c.json);
         }
         // A row that reads 0.0 ns measured an optimized-away loop.
@@ -226,10 +283,32 @@ mod tests {
             .filter_map(|l| l.split("\"ns\": ").nth(1))
             .map(|v| v.trim_end_matches(['}', ',']).parse().expect("ns is a number"))
             .collect();
-        assert_eq!(rows.len(), 5, "one ns row per op:\n{}", c.json);
+        assert_eq!(rows.len(), ops.len(), "one ns row per op:\n{}", c.json);
         for ns in rows {
             assert!(ns > 0.0, "a census row reads {ns} ns:\n{}", c.text);
         }
+    }
+
+    #[test]
+    fn planes_census_measures_every_hot_path() {
+        assert_measures_every_op(
+            &planes_census(),
+            &[
+                "trace_emit",
+                "trace_emit_with_ctx",
+                "mint_span",
+                "ctx_wire_roundtrip",
+                "metrics_inc",
+            ],
+        );
+    }
+
+    #[test]
+    fn checksum_census_measures_every_path() {
+        assert_measures_every_op(
+            &checksum_census(),
+            &["checksum64_data_block", "checksum64_zero_block", "checksum64_x2_block_pair"],
+        );
     }
 
     #[test]

@@ -17,8 +17,9 @@ use vino_sim::{Cycles, VirtualClock};
 
 use crate::cache::BufferCache;
 use crate::layout::{
-    checksum64, decode_commit, descriptor_seal, encode_commit, Bitmap, DiskExtent, Inode,
-    JournalDescriptor, SuperBlock, BLOCK_SIZE, INODES_PER_BLOCK, INODE_SIZE, MAX_EXTENTS, MAX_NAME,
+    block_checksums, checksum64, decode_commit, descriptor_seal, encode_commit, Bitmap, DiskExtent,
+    Inode, JournalDescriptor, SuperBlock, BLOCK_SIZE, INODES_PER_BLOCK, INODE_SIZE, MAX_EXTENTS,
+    MAX_NAME,
 };
 
 /// A handle to an open file.
@@ -625,7 +626,10 @@ impl FileSystem {
         for chunk in targets.chunks(cap) {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.commit_record(seq, chunk, through_cache)?;
+            let payloads = || chunk.iter().map(|(_home, data)| data);
+            let sums = block_checksums(payloads());
+            let entries = chunk.iter().map(|(home, _data)| *home).zip(sums).collect();
+            self.commit_record(seq, entries, payloads(), through_cache)?;
         }
         Ok(())
     }
@@ -635,25 +639,24 @@ impl FileSystem {
     /// Shared by local transactions ([`journal_txn`](Self::journal_txn))
     /// and replicated ones
     /// ([`ingest_replicated`](Self::ingest_replicated)), so both honour
-    /// the same crash points.
-    fn commit_record(
+    /// the same crash points. `entries` holds each payload's `(home
+    /// block, checksum)`; the caller has computed or verified the sums.
+    fn commit_record<'a>(
         &mut self,
         seq: u64,
-        chunk: &[(u64, [u8; BLOCK_SIZE])],
+        entries: Vec<(u64, u64)>,
+        payloads: impl Iterator<Item = &'a [u8; BLOCK_SIZE]> + Clone,
         through_cache: bool,
     ) -> Result<(), FsError> {
         let cap = self.sb.journal_capacity().max(1);
         let js = self.sb.journal_start as u64;
-        let desc = JournalDescriptor {
-            seq,
-            entries: chunk.iter().map(|(home, data)| (*home, checksum64(data))).collect(),
-        };
+        let desc = JournalDescriptor { seq, entries };
         let desc_block = desc.encode();
         self.journal_write(BlockAddr(js), &desc_block)?;
-        for (i, (_home, data)) in chunk.iter().enumerate() {
+        for (i, data) in payloads.clone().enumerate() {
             self.journal_write(BlockAddr(js + 1 + i as u64), data)?;
         }
-        let n = chunk.len() as u64;
+        let n = desc.entries.len() as u64;
         self.emit(vino_sim::trace::TraceEvent::FsJournalAppend { seq, blocks: n });
         self.minc(vino_sim::metrics::Counter::FsJournalAppends);
         if let Some(wp) = &self.watch {
@@ -683,10 +686,10 @@ impl FileSystem {
         self.retain_committed(JournalRecord {
             seq,
             entries: desc.entries.clone(),
-            payloads: chunk.iter().map(|(_home, data)| *data).collect(),
+            payloads: payloads.clone().copied().collect(),
         });
         self.crash_point(FaultSite::KernelCrashAfterCommit)?;
-        for (home, data) in chunk {
+        for ((home, _sum), data) in desc.entries.iter().zip(payloads) {
             self.crash_point(FaultSite::KernelCrashMidCheckpoint)?;
             let addr = BlockAddr(*home);
             if through_cache {
@@ -771,21 +774,19 @@ impl FileSystem {
         {
             return Err(FsError::BadVolume);
         }
-        for ((_home, sum), data) in rec.entries.iter().zip(&rec.payloads) {
-            if checksum64(data) != *sum {
-                return Err(FsError::BadVolume);
-            }
+        let sums = block_checksums(&rec.payloads);
+        if rec.entries.iter().zip(sums).any(|((_home, want), got)| got != *want) {
+            return Err(FsError::BadVolume);
         }
         self.crash_point(FaultSite::KernelCrashBeforeJournal)?;
         self.next_seq = rec.seq + 1;
-        let chunk: Vec<(u64, [u8; BLOCK_SIZE])> =
-            rec.entries.iter().zip(&rec.payloads).map(|((home, _), data)| (*home, *data)).collect();
-        self.commit_record(rec.seq, &chunk, false)?;
-        for (home, _) in &chunk {
+        // The sums just verified are the record's own entry table.
+        self.commit_record(rec.seq, rec.entries.clone(), rec.payloads.iter(), false)?;
+        for (home, _sum) in &rec.entries {
             self.cache.invalidate(BlockAddr(*home));
         }
         self.reload_metadata();
-        Ok(IngestOutcome::Applied { blocks: chunk.len() as u64 })
+        Ok(IngestOutcome::Applied { blocks: rec.entries.len() as u64 })
     }
 
     /// Re-opens the replication cursor after mount-time recovery
@@ -968,6 +969,23 @@ impl FileSystem {
         self.open.get(&fd).is_some_and(|f| f.ra.is_some())
     }
 
+    /// Checks that bytes `offset..offset + len` of inode `idx` lie
+    /// within its size ([`FsError::PastEof`] otherwise) and that its
+    /// extents back every block they touch. An inode whose size
+    /// outruns its extents comes from a corrupt volume:
+    /// [`FsError::BadVolume`].
+    fn check_range(&self, idx: usize, offset: u64, len: u64) -> Result<(), FsError> {
+        let ino = &self.inodes[idx];
+        let end = offset.checked_add(len).filter(|&end| end <= ino.size).ok_or(FsError::PastEof)?;
+        if len == 0 {
+            return Ok(());
+        }
+        // Extents are contiguous in logical block order, so the last
+        // block mapping implies every earlier one does.
+        let last = u32::try_from((end - 1) / BLOCK_SIZE as u64).map_err(|_| FsError::BadVolume)?;
+        ino.block_of(last).map(|_| ()).ok_or(FsError::BadVolume)
+    }
+
     /// Reads `len` bytes at `offset`. Runs the read, then the
     /// `compute-ra` policy, queues validated prefetch extents, and
     /// drains the queue into free cache buffers (§4.1.2's full path).
@@ -978,26 +996,26 @@ impl FileSystem {
             (f.inode_idx, f.last_end == Some(offset))
         };
         let size = self.inodes[inode_idx].size;
-        if offset + len > size {
-            return Err(FsError::PastEof);
-        }
+        self.check_range(inode_idx, offset, len)?;
         self.stats.reads += 1;
         self.minc(vino_sim::metrics::Counter::FsReads);
         self.emit(vino_sim::trace::TraceEvent::FsRead { fd: fd.0, len });
         // Read the covered blocks through the cache.
         let mut out = Vec::with_capacity(len as usize);
-        let first = (offset / BLOCK_SIZE as u64) as u32;
-        let last = ((offset + len - 1) / BLOCK_SIZE as u64) as u32;
-        for lbn in first..=last {
-            let abs = self.inodes[inode_idx].block_of(lbn).expect("within size");
-            let block = self.cache.read(&mut self.disk, BlockAddr(abs as u64));
-            let lo = if lbn == first { (offset % BLOCK_SIZE as u64) as usize } else { 0 };
-            let hi = if lbn == last {
-                ((offset + len - 1) % BLOCK_SIZE as u64) as usize + 1
-            } else {
-                BLOCK_SIZE
-            };
-            out.extend_from_slice(&block[lo..hi]);
+        if len > 0 {
+            let first = (offset / BLOCK_SIZE as u64) as u32;
+            let last = ((offset + len - 1) / BLOCK_SIZE as u64) as u32;
+            for lbn in first..=last {
+                let abs = self.inodes[inode_idx].block_of(lbn).expect("checked by check_range");
+                let block = self.cache.read(&mut self.disk, BlockAddr(abs as u64));
+                let lo = if lbn == first { (offset % BLOCK_SIZE as u64) as usize } else { 0 };
+                let hi = if lbn == last {
+                    ((offset + len - 1) % BLOCK_SIZE as u64) as usize + 1
+                } else {
+                    BLOCK_SIZE
+                };
+                out.extend_from_slice(&block[lo..hi]);
+            }
         }
         // compute-ra: default or grafted (§4.1.2).
         let req = RaRequest { offset, len, sequential, file_size: size };
@@ -1040,10 +1058,7 @@ impl FileSystem {
     pub fn write(&mut self, fd: Fd, offset: u64, data: &[u8]) -> Result<(), FsError> {
         self.check_power()?;
         let inode_idx = self.open.get(&fd).ok_or(FsError::BadFd(fd))?.inode_idx;
-        let size = self.inodes[inode_idx].size;
-        if offset + data.len() as u64 > size {
-            return Err(FsError::PastEof);
-        }
+        self.check_range(inode_idx, offset, data.len() as u64)?;
         self.stats.writes += 1;
         self.minc(vino_sim::metrics::Counter::FsWrites);
         self.emit(vino_sim::trace::TraceEvent::FsWrite { fd: fd.0, len: data.len() as u64 });
@@ -1054,7 +1069,7 @@ impl FileSystem {
             let lbn = (abs_off / BLOCK_SIZE as u64) as u32;
             let in_block = (abs_off % BLOCK_SIZE as u64) as usize;
             let chunk = (BLOCK_SIZE - in_block).min(data.len() - pos);
-            let abs = self.inodes[inode_idx].block_of(lbn).expect("within size");
+            let abs = self.inodes[inode_idx].block_of(lbn).expect("checked by check_range");
             let addr = BlockAddr(abs as u64);
             let mut block = if in_block == 0 && chunk == BLOCK_SIZE {
                 [0u8; BLOCK_SIZE]
@@ -1232,6 +1247,46 @@ mod tests {
         assert!(matches!(fs.read(fd, 0, 1), Err(FsError::BadFd(_))));
         let long = "n".repeat(100);
         assert!(matches!(fs.create(&long, 1), Err(FsError::NameTooLong)));
+    }
+
+    #[test]
+    fn overflowing_and_empty_ranges_do_not_panic() {
+        let mut fs = fresh(4);
+        fs.create("a", 4096).unwrap();
+        fs.create("empty", 0).unwrap();
+        let fd = fs.open("a").unwrap();
+        assert_eq!(fs.read(fd, u64::MAX, 2), Err(FsError::PastEof));
+        assert_eq!(fs.write(fd, u64::MAX, b"xy"), Err(FsError::PastEof));
+        let empty = fs.open("empty").unwrap();
+        assert_eq!(fs.read(empty, 0, 0), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn size_beyond_the_extents_is_a_bad_volume() {
+        let clock = VirtualClock::new();
+        let disk = Disk::new(Rc::clone(&clock));
+        let mut fs = FileSystem::format(Rc::clone(&clock), disk, 8, 64);
+        fs.create("short", BLOCK_SIZE as u64).unwrap();
+        // Forge the on-disk inode: four blocks of size over a one-block
+        // extent.
+        let idx = fs.inodes.iter().position(|i| i.used && i.name == "short").unwrap();
+        let addr = BlockAddr(1 + (idx / INODES_PER_BLOCK) as u64);
+        let off = (idx % INODES_PER_BLOCK) * INODE_SIZE;
+        let mut block = fs.disk.read(addr);
+        let mut ino = Inode::decode(block[off..off + INODE_SIZE].try_into().unwrap());
+        ino.size = 4 * BLOCK_SIZE as u64;
+        block[off..off + INODE_SIZE].copy_from_slice(&ino.encode());
+        fs.disk.write(addr, &block);
+        // Retire the journal so mount-time recovery does not redo the
+        // create over the forgery.
+        fs.disk.write(BlockAddr(fs.sb.journal_start as u64), &[0u8; BLOCK_SIZE]);
+        let FileSystem { disk, .. } = fs;
+        let mut forged = FileSystem::mount(clock, disk, 8).unwrap();
+        let fd = forged.open("short").unwrap();
+        assert_eq!(forged.read(fd, 0, 2 * BLOCK_SIZE as u64), Err(FsError::BadVolume));
+        assert_eq!(forged.write(fd, BLOCK_SIZE as u64, b"x"), Err(FsError::BadVolume));
+        // The bytes the extent does back stay readable.
+        assert_eq!(forged.read(fd, 0, 4).map(|b| b.len()), Ok(4));
     }
 
     #[test]

@@ -133,16 +133,88 @@ impl SuperBlock {
     }
 }
 
-/// FNV-1a over `data` — the journal's integrity check. Not
-/// cryptographic; it only needs to catch torn prefixes and stale tail
-/// bytes, and it must be dependency-free and deterministic.
-pub fn checksum64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in data {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a 64 offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Eight FNV-1a steps over zero bytes: each xor is a no-op, so the
+/// steps collapse into one multiply by `FNV_PRIME^8`.
+const FNV_PRIME_POW8: u64 = FNV_PRIME.wrapping_pow(8);
+
+/// Folds eight bytes, in memory order, into an FNV-1a state. An
+/// all-zero word costs one multiply instead of eight.
+#[inline(always)]
+fn fnv_word(mut h: u64, word: &[u8; 8]) -> u64 {
+    let w = u64::from_le_bytes(*word);
+    if w == 0 {
+        return h.wrapping_mul(FNV_PRIME_POW8);
+    }
+    for i in 0..8 {
+        h ^= (w >> (8 * i)) & 0xff;
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Folds the bytes left over after the last whole word.
+#[inline(always)]
+fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        h ^= byte as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// FNV-1a 64 over `data` — the journal's integrity check. Not
+/// cryptographic; it only needs to catch torn prefixes and stale tail
+/// bytes, and it must be dependency-free and deterministic.
+///
+/// Hashes a word at a time so zero words (most of a descriptor block)
+/// take one multiply; the result is bit-for-bit the byte-serial
+/// FNV-1a 64.
+pub fn checksum64(data: &[u8]) -> u64 {
+    let (words, tail) = data.as_chunks::<8>();
+    fnv_bytes(words.iter().fold(FNV_OFFSET, fnv_word), tail)
+}
+
+/// [`checksum64`] of two equal-length inputs at once, as two
+/// interleaved, independent chains. One FNV-1a chain is bound by the
+/// latency of its xor-multiply; two of them keep the multiplier busy,
+/// hashing both inputs in about the time of one.
+///
+/// # Panics
+///
+/// If `a` and `b` differ in length.
+pub fn checksum64_x2(a: &[u8], b: &[u8]) -> (u64, u64) {
+    assert_eq!(a.len(), b.len(), "two-lane checksum needs equal lengths");
+    let (wa, ta) = a.as_chunks::<8>();
+    let (wb, tb) = b.as_chunks::<8>();
+    let (mut ha, mut hb) = (FNV_OFFSET, FNV_OFFSET);
+    for (x, y) in wa.iter().zip(wb) {
+        ha = fnv_word(ha, x);
+        hb = fnv_word(hb, y);
+    }
+    (fnv_bytes(ha, ta), fnv_bytes(hb, tb))
+}
+
+/// The [`checksum64`] of every block, in order, hashed two blocks per
+/// pass with [`checksum64_x2`] — a journal record's payload sums.
+pub fn block_checksums<'a>(blocks: impl IntoIterator<Item = &'a [u8; BLOCK_SIZE]>) -> Vec<u64> {
+    let mut blocks = blocks.into_iter();
+    let mut sums = Vec::with_capacity(blocks.size_hint().0);
+    while let Some(a) = blocks.next() {
+        match blocks.next() {
+            Some(b) => {
+                let (sa, sb) = checksum64_x2(a, b);
+                sums.extend([sa, sb]);
+            }
+            None => sums.push(checksum64(a)),
+        }
+    }
+    sums
 }
 
 /// The journal descriptor: names the home location and payload checksum
@@ -469,6 +541,115 @@ mod tests {
         assert_eq!(checksum64(b"vino"), checksum64(b"vino"));
         assert_ne!(checksum64(b"vino"), checksum64(b"vinO"));
         assert_ne!(checksum64(&[0u8; 4096]), 0, "all-zero block must not seal as zero");
+    }
+
+    /// Byte-serial FNV-1a 64: the oracle the word-at-a-time and
+    /// two-lane paths must match exactly.
+    fn fnv1a_serial(data: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &byte in data {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// `len` SplitMix64 bytes from `seed`.
+    fn splitmix_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    /// Asserts both fast paths agree with the oracle on `a` and `b`.
+    fn assert_exact(a: &[u8], b: &[u8]) {
+        let (ha, hb) = (fnv1a_serial(a), fnv1a_serial(b));
+        assert_eq!(checksum64(a), ha, "len {}", a.len());
+        assert_eq!(checksum64(b), hb, "len {}", b.len());
+        assert_eq!(checksum64_x2(a, b), (ha, hb), "len {}", a.len());
+    }
+
+    #[test]
+    fn checksum_is_the_published_fnv1a_64() {
+        // These pin the on-disk journal format.
+        for (input, want) in [
+            (&b""[..], 0xcbf2_9ce4_8422_2325),
+            (b"a", 0xaf63_dc4c_8601_ec8c),
+            (b"foobar", 0x8594_4171_f739_67e8),
+        ] {
+            assert_eq!(fnv1a_serial(input), want);
+            assert_eq!(checksum64(input), want);
+            assert_eq!(checksum64_x2(input, input), (want, want));
+        }
+    }
+
+    #[test]
+    fn fast_paths_match_the_oracle_at_every_length() {
+        for len in 0..=BLOCK_SIZE + 7 {
+            let a = splitmix_bytes(len as u64, len);
+            let b = splitmix_bytes(!(len as u64), len);
+            assert_exact(&a, &b);
+        }
+    }
+
+    #[test]
+    fn fast_paths_match_the_oracle_on_zero_runs_at_every_alignment() {
+        let base = splitmix_bytes(7, 96);
+        for start in 0..24 {
+            for run in 0..=40 {
+                let mut a = base.clone();
+                a[start..start + run].fill(0);
+                // The other lane holds the run at the mirrored offset,
+                // so the lanes take the zero-word path on different
+                // steps.
+                let mut b = base.clone();
+                b[96 - start - run..96 - start].fill(0);
+                assert_exact(&a, &b);
+            }
+        }
+        // A zero block, and zero blocks with one live byte anywhere in
+        // their first and last words.
+        let zero = [0u8; BLOCK_SIZE];
+        assert_exact(&zero, &zero);
+        for at in (0..16).chain(BLOCK_SIZE - 16..BLOCK_SIZE) {
+            let mut a = zero;
+            a[at] = 0x5a;
+            assert_exact(&a, &zero);
+            assert_exact(&zero, &a);
+        }
+    }
+
+    #[test]
+    fn block_checksums_match_the_oracle_for_zero_to_five_blocks() {
+        for n in 0..=5u64 {
+            let blocks: Vec<[u8; BLOCK_SIZE]> = (0..n)
+                .map(|i| {
+                    let mut b = [0u8; BLOCK_SIZE];
+                    b.copy_from_slice(&splitmix_bytes(100 + i, BLOCK_SIZE));
+                    if i % 2 == 1 {
+                        // Half-zero blocks, as descriptor-like payloads.
+                        b[BLOCK_SIZE / 2..].fill(0);
+                    }
+                    b
+                })
+                .collect();
+            let want: Vec<u64> = blocks.iter().map(|b| fnv1a_serial(b)).collect();
+            assert_eq!(block_checksums(&blocks), want, "{n} blocks");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "equal lengths")]
+    fn two_lane_checksum_refuses_unequal_lengths() {
+        checksum64_x2(b"ab", b"abc");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use vino_fs::layout::checksum64;
-use vino_fs::{JournalRecord, BLOCK_SIZE};
+use vino_fs::{JournalDescriptor, JournalRecord, BLOCK_SIZE};
 use vino_net::PAYLOAD_CAP;
 use vino_sim::trace::CauseCtx;
 
@@ -39,6 +39,13 @@ pub const FRAG_HEADER: usize = 13 + CauseCtx::WIRE_BYTES;
 
 /// Chunk bytes carried per fragment.
 const CHUNK: usize = PAYLOAD_CAP - FRAG_HEADER;
+
+/// Most fragments one record frame can need: the marshalled body of a
+/// record holding [`JournalDescriptor::MAX_ENTRIES`] blocks — the
+/// largest a journal can produce. The [`Reassembler`] refuses any
+/// fragment claiming more.
+pub const MAX_FRAGMENTS: usize =
+    (4 + JournalDescriptor::MAX_ENTRIES * (16 + BLOCK_SIZE) + 8).div_ceil(CHUNK);
 
 /// Marshals a record body: entry count, entry table, payload blocks,
 /// and a trailing seal — FNV-1a over everything before it, xor-bound
@@ -101,7 +108,7 @@ pub fn unmarshal(seq: u64, body: &[u8]) -> Option<JournalRecord> {
 pub fn fragment(rec: &JournalRecord, ctx: CauseCtx) -> Vec<Vec<u8>> {
     let body = marshal(rec);
     let total = body.chunks(CHUNK).count();
-    assert!(total <= u16::MAX as usize, "record too large for the fragment header");
+    assert!(total <= MAX_FRAGMENTS, "record larger than any journal record");
     body.chunks(CHUNK)
         .enumerate()
         .map(|(i, chunk)| {
@@ -152,7 +159,8 @@ pub fn decode_ack(payload: &[u8]) -> Option<(u64, CauseCtx)> {
 /// Collects record fragments delivered by the packet plane and yields
 /// each record once complete and seal-verified. Fragments may arrive
 /// in any order, interleaved across sequences; a fragment that
-/// disagrees with its peers (wrong count, bad index) is dropped.
+/// disagrees with its peers (wrong count, bad index) or claims more
+/// than [`MAX_FRAGMENTS`] is dropped.
 #[derive(Default)]
 pub struct Reassembler {
     parts: BTreeMap<u64, Vec<Option<Vec<u8>>>>,
@@ -174,7 +182,7 @@ impl Reassembler {
         let seq = u64::from_le_bytes(payload[1..9].try_into().ok()?);
         let idx = u16::from_le_bytes(payload[9..11].try_into().ok()?) as usize;
         let total = u16::from_le_bytes(payload[11..13].try_into().ok()?) as usize;
-        if total == 0 || idx >= total {
+        if total == 0 || idx >= total || total > MAX_FRAGMENTS {
             return None;
         }
         let ctx = CauseCtx::from_bytes(payload[13..13 + CauseCtx::WIRE_BYTES].try_into().ok()?);
@@ -187,7 +195,10 @@ impl Reassembler {
             return None;
         }
         let slots = self.parts.remove(&seq).expect("just completed");
-        let body: Vec<u8> = slots.into_iter().flatten().flatten().collect();
+        let mut body = Vec::with_capacity(slots.iter().flatten().map(Vec::len).sum());
+        for chunk in slots.iter().flatten() {
+            body.extend_from_slice(chunk);
+        }
         unmarshal(seq, &body).map(|rec| (rec, ctx))
     }
 
@@ -286,6 +297,31 @@ mod tests {
             done = r.accept(f);
         }
         assert_eq!(done, Some((a, CauseCtx::NONE)));
+    }
+
+    #[test]
+    fn the_largest_journal_record_fits_the_fragment_bound() {
+        let rec = record(9, JournalDescriptor::MAX_ENTRIES);
+        let frags = fragment(&rec, CauseCtx::NONE);
+        assert_eq!(frags.len(), MAX_FRAGMENTS);
+        let mut r = Reassembler::new();
+        let done = frags.iter().filter_map(|f| r.accept(f)).next();
+        assert_eq!(done, Some((rec, CauseCtx::NONE)));
+    }
+
+    #[test]
+    fn reassembler_refuses_a_forged_fragment_count() {
+        let mut f = fragment(&record(5, 1), CauseCtx::NONE).remove(0);
+        let mut r = Reassembler::new();
+        for forged in [u16::MAX, MAX_FRAGMENTS as u16 + 1] {
+            f[11..13].copy_from_slice(&forged.to_le_bytes());
+            assert_eq!(r.accept(&f), None);
+            assert_eq!(r.pending(), 0, "count {forged} must hold no reassembly state");
+        }
+        // The largest honest count is held for its missing fragments.
+        f[11..13].copy_from_slice(&(MAX_FRAGMENTS as u16).to_le_bytes());
+        assert_eq!(r.accept(&f), None);
+        assert_eq!(r.pending(), 1);
     }
 
     #[test]

@@ -8,6 +8,7 @@ cd "$(dirname "$0")/.."
 
 echo "== format (rustfmt --check) =="
 cargo fmt --check
+cargo fmt --check --manifest-path perfbench/Cargo.toml
 
 echo "== build (release) =="
 cargo build --release
@@ -87,6 +88,7 @@ cargo bench -p vino-bench --bench watch_plane
 
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== docs (rustdoc, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
