@@ -24,7 +24,6 @@ fn bench(c: &mut Criterion) {
     // Warm every slot so the steady state under proof is the loaded
     // plane, not first-touch.
     for &t in &tags {
-        mp.mark_install(t);
         mp.begin_invocation(t);
         mp.charge(Component::GraftFn, Cycles(100));
         mp.end_invocation(true);

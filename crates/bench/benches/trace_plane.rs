@@ -1,11 +1,15 @@
 //! Trace-plane microbenches: per-event emit cost, plus the
 //! zero-allocation proof the design demands — once the ring is
-//! allocated, emitting an event must never touch the heap.
+//! allocated, emitting an event must never touch the heap. The proof
+//! runs through the `Obs` funnel with a metrics plane attached too, so
+//! it covers the derived-counter path every subsystem emits through.
 
 use std::rc::Rc;
 
 use criterion::alloc::CountingAlloc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use vino_sim::metrics::MetricsPlane;
+use vino_sim::obs::Obs;
 use vino_sim::trace::{SfiKind, TraceEvent, TracePlane, VmExitKind};
 use vino_sim::VirtualClock;
 
@@ -24,6 +28,9 @@ fn events() -> [TraceEvent; 4] {
 fn bench(c: &mut Criterion) {
     let clock = VirtualClock::new();
     let tp = TracePlane::with_capacity(Rc::clone(&clock), 1024);
+    let obs = Obs::new(Rc::clone(&clock));
+    obs.attach_trace(Rc::clone(&tp)).expect("fresh handle");
+    obs.attach_metrics(MetricsPlane::new(Rc::clone(&clock))).expect("fresh handle");
 
     // Fill well past capacity first, so the steady state under proof is
     // the wrapped ring (overwrite path), not the initial fill.
@@ -31,11 +38,12 @@ fn bench(c: &mut Criterion) {
         tp.emit(TraceEvent::VmWindow { instrs: i, exit: VmExitKind::Halt });
     }
 
-    // The proof: 100k emits across event kinds, zero allocations.
+    // The proof: 100k emits across event kinds, each written to the
+    // ring and counted, zero allocations.
     let before = ALLOC.allocations();
     for i in 0..100_000u64 {
         clock.charge_us(1);
-        tp.emit(events()[(i % 4) as usize]);
+        obs.emit(events()[(i % 4) as usize]);
     }
     let delta = ALLOC.allocations() - before;
     assert_eq!(delta, 0, "trace emit hit the heap {delta} times in 100k events");

@@ -9,9 +9,11 @@
 //!   from the same [`crate::render::PathTable`] the paper-table run
 //!   renders.
 //! - `planes` — wall-clock ns/op for the observability hot paths:
-//!   trace emit (with and without a causal context), span minting, and
-//!   a metrics counter bump. These are host measurements, not virtual
-//!   cycles, so the JSON is a snapshot rather than a golden.
+//!   trace emit (with and without a causal context), span minting, a
+//!   metrics counter bump, and the `Obs` funnel's `emit` (trace record
+//!   plus derived counter) and `bill` (clock plus both ledgers). These
+//!   are host measurements, not virtual cycles, so the JSON is a
+//!   snapshot rather than a golden.
 //! - `repl_window` — the replication window sweep: shipped frames,
 //!   retransmissions, drops, and drain rounds to convergence at each
 //!   window size over a lossy wire, all in deterministic virtual time.
@@ -28,8 +30,11 @@ use vino_fs::BLOCK_SIZE;
 use vino_repl::{ReplConfig, ReplHarness};
 use vino_sim::clock::VirtualClock;
 use vino_sim::fault::FaultSite;
-use vino_sim::metrics::{Counter, MetricsPlane};
+use vino_sim::metrics::{Component, Counter, MetricsPlane};
+use vino_sim::obs::Obs;
+use vino_sim::profile::ProfilePlane;
 use vino_sim::trace::{CauseCtx, SpanId, TraceEvent, TracePlane};
+use vino_sim::Cycles;
 
 use crate::netfilter;
 
@@ -146,6 +151,23 @@ pub fn planes_census() -> Census {
     ops.push((
         "metrics_inc",
         ns_per_op(ITERS, || std::hint::black_box(&metrics).inc(Counter::ReplShips)),
+    ));
+    // The funnel, with trace and metrics attached: one emit writes the
+    // record and derives its counter; one bill charges the clock and
+    // both ledgers. The handle is black-boxed like the planes above.
+    let obs = Obs::new(Rc::clone(&clock));
+    obs.attach_trace(Rc::clone(&tp)).expect("fresh handle");
+    obs.attach_metrics(Rc::clone(&metrics)).expect("fresh handle");
+    obs.attach_profile(ProfilePlane::new(Rc::clone(&clock))).expect("fresh handle");
+    ops.push((
+        "obs_emit",
+        ns_per_op(ITERS, || {
+            std::hint::black_box(&obs).emit(TraceEvent::NetRx { port: 80, len: 64 })
+        }),
+    ));
+    ops.push((
+        "obs_bill",
+        ns_per_op(ITERS, || std::hint::black_box(&obs).bill(Component::Lock, Cycles(1))),
     ));
     let mut text = String::from("op                   | ns/op (host wall clock)\n---------------------+------------------------\n");
     let mut rows = Vec::new();
@@ -299,6 +321,8 @@ mod tests {
                 "mint_span",
                 "ctx_wire_roundtrip",
                 "metrics_inc",
+                "obs_emit",
+                "obs_bill",
             ],
         );
     }

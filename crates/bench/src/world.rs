@@ -8,8 +8,10 @@ use vino_core::engine::{GraftEngine, GraftInstance};
 use vino_core::hostfn;
 use vino_misfit::{MisfitTool, SigningKey};
 use vino_sim::metrics::MetricsPlane;
+use vino_sim::obs::Obs;
 use vino_sim::profile::ProfilePlane;
 use vino_sim::stats::{trimmed_summary, Summary};
+use vino_sim::AttachError;
 use vino_sim::{ThreadId, VirtualClock};
 use vino_txn::locks::LockClass;
 use vino_vm::asm::assemble;
@@ -41,8 +43,22 @@ pub const BENCH_THREAD: ThreadId = ThreadId(1);
 /// Builds a world around `src`, registering `locks` engine locks first
 /// (so the graft's lock handle 0 is always valid).
 pub fn build(src: &str, seg_size: usize, variant: Variant, locks: usize) -> World {
-    let clock = VirtualClock::new();
+    build_on(VirtualClock::new(), src, seg_size, variant, locks, |_| Ok(()))
+}
+
+/// [`build`] on `clock`, with planes attached by `attach` to the
+/// engine's handle *before* the instance is created, so the instance
+/// interns its tags and its VM reports to them.
+fn build_on(
+    clock: Rc<VirtualClock>,
+    src: &str,
+    seg_size: usize,
+    variant: Variant,
+    locks: usize,
+    attach: impl FnOnce(&Obs) -> Result<(), AttachError>,
+) -> World {
     let engine = GraftEngine::new(Rc::clone(&clock));
+    attach(&engine.obs).expect("fresh engine");
     for _ in 0..locks {
         engine.register_lock(LockClass::SharedBuffer);
     }
@@ -51,9 +67,8 @@ pub fn build(src: &str, seg_size: usize, variant: Variant, locks: usize) -> Worl
     World { engine, graft, clock }
 }
 
-/// [`build`] with a metrics plane wired through the engine's
-/// subsystems *before* the instance is created, so the instance interns
-/// its tag and its VM attributes instruction charges. Used by the
+/// [`build`] with a metrics plane attached before the instance is
+/// created, so the VM attributes instruction charges. Used by the
 /// runtime-attribution reconciliation tests (`docs/METRICS.md`).
 pub fn build_metered(
     src: &str,
@@ -62,24 +77,16 @@ pub fn build_metered(
     locks: usize,
 ) -> (World, Rc<MetricsPlane>) {
     let clock = VirtualClock::new();
-    let plane = MetricsPlane::new(Rc::clone(&clock));
-    let engine = GraftEngine::new(Rc::clone(&clock));
-    engine.txn.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-    engine.rm.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-    engine.reliability.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-    engine.set_metrics_plane(Rc::clone(&plane));
-    for _ in 0..locks {
-        engine.register_lock(LockClass::SharedBuffer);
-    }
-    let prog = assemble("bench-graft", src, &hostfn::symbols()).expect("bench graft assembles");
-    let graft = instance_from(&engine, prog, seg_size, variant);
-    (World { engine, graft, clock }, plane)
+    let mp = MetricsPlane::new(Rc::clone(&clock));
+    let w =
+        build_on(clock, src, seg_size, variant, locks, |obs| obs.attach_metrics(Rc::clone(&mp)));
+    (w, mp)
 }
 
-/// [`build_metered`] plus a profile plane, wired the same way (before
-/// the instance is created, so the VM bills per-PC cycles and the
-/// wrapper brackets invocations). Used by the profile reconciliation
-/// tests and the differential profile gate (`docs/PROFILING.md`).
+/// [`build_metered`] plus a profile plane, attached the same way (so
+/// the VM bills per-PC cycles and the wrapper brackets invocations).
+/// Used by the profile reconciliation tests and the differential
+/// profile gate (`docs/PROFILING.md`).
 pub fn build_profiled(
     src: &str,
     seg_size: usize,
@@ -87,22 +94,13 @@ pub fn build_profiled(
     locks: usize,
 ) -> (World, Rc<MetricsPlane>, Rc<ProfilePlane>) {
     let clock = VirtualClock::new();
-    let plane = MetricsPlane::new(Rc::clone(&clock));
-    let profile = ProfilePlane::new(Rc::clone(&clock));
-    let engine = GraftEngine::new(Rc::clone(&clock));
-    engine.txn.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-    engine.rm.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-    engine.reliability.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-    engine.set_metrics_plane(Rc::clone(&plane));
-    engine.txn.borrow_mut().set_profile_plane(Rc::clone(&profile));
-    engine.rm.borrow_mut().set_profile_plane(Rc::clone(&profile));
-    engine.set_profile_plane(Rc::clone(&profile));
-    for _ in 0..locks {
-        engine.register_lock(LockClass::SharedBuffer);
-    }
-    let prog = assemble("bench-graft", src, &hostfn::symbols()).expect("bench graft assembles");
-    let graft = instance_from(&engine, prog, seg_size, variant);
-    (World { engine, graft, clock }, plane, profile)
+    let mp = MetricsPlane::new(Rc::clone(&clock));
+    let pp = ProfilePlane::new(Rc::clone(&clock));
+    let w = build_on(clock, src, seg_size, variant, locks, |obs| {
+        obs.attach_metrics(Rc::clone(&mp))?;
+        obs.attach_profile(Rc::clone(&pp))
+    });
+    (w, mp, pp)
 }
 
 /// Builds an instance from an already-assembled program, running it

@@ -15,11 +15,10 @@ use std::rc::Rc;
 
 use vino_misfit::CallableTable;
 use vino_rm::{PrincipalId, ResourceAccountant, ResourceKind};
-use vino_sim::fault::FaultPlane;
-use vino_sim::metrics::{MetricTag, MetricsPlane};
-use vino_sim::profile::{ProfTag, ProfilePlane};
-use vino_sim::trace::{AbortKind, CauseCtx, GraftTag, TraceEvent, TracePlane};
-use vino_sim::watch::WatchPlane;
+use vino_sim::metrics::MetricTag;
+use vino_sim::obs::{Obs, Planes};
+use vino_sim::profile::ProfTag;
+use vino_sim::trace::{AbortKind, CauseCtx, GraftTag, TraceEvent};
 use vino_sim::{costs, Cycles, ThreadId, VirtualClock};
 use vino_txn::locks::{LockClass, LockId};
 use vino_txn::manager::{AbortReason, AbortReport, TxnId, TxnManager};
@@ -83,120 +82,34 @@ pub struct GraftEngine {
     subgrafts: RefCell<Vec<Rc<RefCell<GraftInstance>>>>,
     /// Current graft-to-graft nesting depth.
     nest_depth: std::cell::Cell<u32>,
-    /// Fault plane attached to every subsequently created instance's VM.
-    fault: RefCell<Option<Rc<FaultPlane>>>,
-    /// Trace plane shared with every subsequently created instance's VM
-    /// and with the wrapper's lifecycle events.
-    trace: RefCell<Option<Rc<TracePlane>>>,
-    /// Metrics plane shared with every subsequently created instance's
-    /// VM and with the wrapper's invocation brackets.
-    metrics: RefCell<Option<Rc<MetricsPlane>>>,
-    /// Profile plane shared with every subsequently created instance's
-    /// VM (per-PC billing, call-graph capture) and with the wrapper's
-    /// invocation spans.
-    profile: RefCell<Option<Rc<ProfilePlane>>>,
-    /// Watch plane fed by the wrapper's install/invoke/abort/quarantine
-    /// events (sliding-window SLO evaluation; see `docs/WATCH.md`).
-    watch: RefCell<Option<Rc<WatchPlane>>>,
+    /// The observation handle, shared with the transaction manager, the
+    /// accountant and the reliability manager. The wrapper reads it live
+    /// for causal spans, the flight recorder and the watch plane; each
+    /// graft instance binds a snapshot for its VM and lifecycle events.
+    pub obs: Obs,
 }
 
 impl GraftEngine {
-    /// Creates an engine with fresh subsystems on `clock`.
+    /// Creates an engine with fresh subsystems on `clock`, no planes.
     pub fn new(clock: Rc<VirtualClock>) -> Rc<GraftEngine> {
-        let txn = Rc::new(RefCell::new(TxnManager::new(Rc::clone(&clock))));
+        GraftEngine::with_obs(Obs::new(clock))
+    }
+
+    /// Creates an engine with fresh subsystems observed through `obs`
+    /// and charging its clock.
+    pub fn with_obs(obs: Obs) -> Rc<GraftEngine> {
         Rc::new(GraftEngine {
-            clock,
-            txn,
-            rm: Rc::new(RefCell::new(ResourceAccountant::new())),
-            reliability: Rc::new(RefCell::new(ReliabilityManager::new())),
+            clock: Rc::clone(obs.clock()),
+            txn: Rc::new(RefCell::new(TxnManager::with_obs(obs.clone()))),
+            rm: Rc::new(RefCell::new(ResourceAccountant::with_obs(obs.clone()))),
+            reliability: Rc::new(RefCell::new(ReliabilityManager::with_obs(obs.clone()))),
             kv: Rc::new(RefCell::new([0; KV_SLOTS])),
             callable: Rc::new(hostfn::build_callable_table()),
             lock_handles: Rc::new(RefCell::new(Vec::new())),
             subgrafts: RefCell::new(Vec::new()),
             nest_depth: std::cell::Cell::new(0),
-            fault: RefCell::new(None),
-            trace: RefCell::new(None),
-            metrics: RefCell::new(None),
-            profile: RefCell::new(None),
-            watch: RefCell::new(None),
+            obs,
         })
-    }
-
-    /// Attaches a fault plane to the engine: every graft VM created
-    /// *after* this call visits [`vino_sim::FaultSite::VmTrap`] on each
-    /// interpreted instruction. (Subsystem sites — disk, locks, rm,
-    /// loader — are wired by [`crate::Kernel::attach_fault_plane`].)
-    pub fn set_fault_plane(&self, plane: Rc<FaultPlane>) {
-        *self.fault.borrow_mut() = Some(plane);
-    }
-
-    /// The attached fault plane, if any.
-    pub fn fault_plane(&self) -> Option<Rc<FaultPlane>> {
-        self.fault.borrow().clone()
-    }
-
-    /// Attaches a trace plane to the engine: every graft instance
-    /// created *after* this call traces its VM windows and SFI checks,
-    /// and every wrapper invocation emits `graft.*` lifecycle events
-    /// plus a flight-recorder post-mortem on abort. (Subsystem planes —
-    /// fs, txn, rm, reliability — are wired by
-    /// [`crate::Kernel::attach_trace_plane`].)
-    pub fn set_trace_plane(&self, plane: Rc<TracePlane>) {
-        *self.trace.borrow_mut() = Some(plane);
-    }
-
-    /// The attached trace plane, if any.
-    pub fn trace_plane(&self) -> Option<Rc<TracePlane>> {
-        self.trace.borrow().clone()
-    }
-
-    /// Attaches a metrics plane to the engine: every graft instance
-    /// created *after* this call counts its VM activity and attributes
-    /// instruction charges, and every wrapper invocation is bracketed
-    /// into the per-graft overhead-attribution ledger. (Subsystem
-    /// planes — fs, txn, rm, reliability — are wired by
-    /// [`crate::Kernel::attach_metrics_plane`].)
-    pub fn set_metrics_plane(&self, plane: Rc<MetricsPlane>) {
-        *self.metrics.borrow_mut() = Some(plane);
-    }
-
-    /// The attached metrics plane, if any.
-    pub fn metrics_plane(&self) -> Option<Rc<MetricsPlane>> {
-        self.metrics.borrow().clone()
-    }
-
-    /// Attaches a profile plane to the engine: every graft instance
-    /// created *after* this call bills each retired instruction to its
-    /// (graft, function, pc) key and captures its local call graph, and
-    /// every wrapper invocation opens a span in the invocation tree.
-    /// (Subsystem planes — fs, txn, rm — are wired by
-    /// [`crate::Kernel::attach_profile_plane`].)
-    pub fn set_profile_plane(&self, plane: Rc<ProfilePlane>) {
-        *self.profile.borrow_mut() = Some(plane);
-    }
-
-    /// The attached profile plane, if any.
-    pub fn profile_plane(&self) -> Option<Rc<ProfilePlane>> {
-        self.profile.borrow().clone()
-    }
-
-    /// Attaches a watch plane to the engine: every graft install,
-    /// invocation (with its cycle cost), abort and quarantine trip
-    /// recorded *after* this call feeds the plane's sliding windows,
-    /// keyed by the installer who vouched for the graft (the
-    /// accountant's blame target — the same principal admission
-    /// control gates). (Subsystem windows —
-    /// journal occupancy, RX shed, lock time-outs — are wired by
-    /// [`crate::Kernel::attach_watch_plane`].) Recording never charges
-    /// the virtual clock, so attaching a watch plane changes no
-    /// timings.
-    pub fn set_watch_plane(&self, plane: Rc<WatchPlane>) {
-        *self.watch.borrow_mut() = Some(plane);
-    }
-
-    /// The attached watch plane, if any.
-    pub fn watch_plane(&self) -> Option<Rc<WatchPlane>> {
-        self.watch.borrow().clone()
     }
 
     /// Registers a lockable kernel object and exposes it to grafts as a
@@ -519,11 +432,14 @@ pub struct GraftInstance {
     /// detector for grafts in the kernel's path).
     pub max_slices: u32,
     stats: InvokeStats,
-    /// Interned trace tag for this graft's name (if a plane is wired).
-    tag: Option<GraftTag>,
-    /// Interned metrics tag for this graft's name (if a plane is wired).
+    /// The planes attached when the instance was created — its VM's,
+    /// and the target of its `graft.*` lifecycle events.
+    obs: Planes,
+    /// Interned trace tag for this graft's name.
+    tag: GraftTag,
+    /// Interned metrics tag, with a metrics plane bound.
     mtag: Option<MetricTag>,
-    /// Interned profile tag for this graft's name (if a plane is wired).
+    /// Interned profile tag, with a profile plane bound.
     ptag: Option<ProfTag>,
     /// Clock reading at the start of the current invocation, so the
     /// watch plane can be fed the invocation's cycle cost on both the
@@ -543,43 +459,33 @@ impl GraftInstance {
         thread: ThreadId,
         principal: PrincipalId,
     ) -> GraftInstance {
-        let mut vm = Vm::new(mem);
-        if let Some(plane) = engine.fault_plane() {
-            vm.set_fault_plane(plane);
-        }
+        // Bind the planes attached now: grafts installed before a
+        // plane attaches never report to it.
+        let obs = engine.obs.snapshot();
         // Intern the graft name once at install time (the only point a
-        // trace event may allocate) and announce the install.
-        let tag = engine.trace_plane().map(|tp| {
-            vm.set_trace_plane(Rc::clone(&tp));
-            let tag = tp.tag(&program.name);
-            tp.emit(TraceEvent::GraftInstall { graft: tag });
-            tag
-        });
-        // Same install-time interning for the metrics plane.
-        let mtag = engine.metrics_plane().map(|mp| {
-            vm.set_metrics_plane(Rc::clone(&mp));
-            let mtag = mp.tag(&program.name);
-            mp.mark_install(mtag);
-            mtag
-        });
-        // And for the profile plane, which also pre-sizes the per-PC
-        // arrays to the program length so the hot path never allocates.
-        let ptag = engine.profile_plane().map(|pp| {
+        // plane may allocate) and announce the install.
+        let tag = obs.tag(&program.name);
+        obs.emit(TraceEvent::GraftInstall { graft: tag });
+        let mtag = obs.metrics().map(|mp| mp.tag(&program.name));
+        // The profile plane also pre-sizes the per-PC arrays to the
+        // program length so the hot path never allocates.
+        let ptag = obs.profile().map(|pp| {
             let ptag = pp.tag(&program.name);
             pp.register_program(ptag, program.instrs.len());
-            vm.set_profile_plane(Rc::clone(&pp), ptag);
             ptag
         });
+        let mut vm = Vm::new(mem);
+        vm.bind(obs.clone(), ptag);
         // Split the program into straight-line runs once, here, so no
         // invocation or window pays for decoding.
         vm.predecode(&program);
         // Watch plane: count the install and pre-create the blamed
         // principal's window slot now, while allocation is permitted.
         let blame = engine.rm.borrow().blame_target(principal);
-        if let Some(wp) = engine.watch_plane() {
+        engine.obs.watched(|wp| {
             wp.touch_principal(blame.0);
             wp.observe_install(blame.0);
-        }
+        });
         GraftInstance {
             name: program.name.clone(),
             engine,
@@ -591,6 +497,7 @@ impl GraftInstance {
             dead: false,
             max_slices: 16,
             stats: InvokeStats::default(),
+            obs,
             tag,
             mtag,
             ptag,
@@ -599,29 +506,64 @@ impl GraftInstance {
         }
     }
 
-    fn emit(&self, ev: TraceEvent) {
-        if let Some(tp) = self.engine.trace.borrow().as_ref() {
-            tp.emit(ev);
-        }
-    }
-
-    /// Opens the invocation's causal span — an event origin: the span
-    /// is minted as a child of whatever context is in force (so a graft
-    /// invoked from a packet batch chains to the packet's span) and
-    /// installed as the plane's current context. Every event the
-    /// invocation emits, on any subsystem, inherits it.
-    fn begin_invoke_span(&mut self) {
-        if let Some(tp) = self.engine.trace_plane() {
-            let ctx = tp.mint_span(tp.ctx().span);
-            self.prev_ctx = tp.set_ctx(ctx);
-        }
-    }
-
     /// Closes the invocation's causal span, restoring the context that
     /// was in force before it. Both exits (commit and abort) land here.
     fn end_invoke_span(&mut self) {
-        if let Some(tp) = self.engine.trace_plane() {
+        if let Some(tp) = self.engine.obs.trace() {
             tp.set_ctx(self.prev_ctx);
+        }
+    }
+
+    /// Serves a dead-graft invocation to the caller's default path.
+    fn serve_fallback(&self) {
+        self.obs.emit(TraceEvent::FallbackServed { graft: self.tag });
+        if let (Some(mp), Some(mtag)) = (self.obs.metrics(), self.mtag) {
+            mp.mark_fallback(mtag);
+        }
+        if let Some(pp) = self.obs.profile() {
+            pp.mark_fallback();
+        }
+    }
+
+    /// Opens one wrapper invocation: its causal span, `graft.invoke`,
+    /// and the metrics and profile brackets.
+    ///
+    /// The span is an event origin: minted as a child of whatever
+    /// context is in force (so a graft invoked from a packet batch
+    /// chains to the packet's span) and installed as the plane's current
+    /// context, so every event the invocation emits, on any subsystem,
+    /// inherits it.
+    fn open_invocation(&mut self) {
+        self.stats.invocations += 1;
+        self.invoke_started = self.engine.clock.now();
+        if let Some(tp) = self.engine.obs.trace() {
+            self.prev_ctx = tp.set_ctx(tp.mint_span(tp.ctx().span));
+        }
+        self.obs.emit(TraceEvent::GraftInvoke { graft: self.tag });
+        if let (Some(mp), Some(mtag)) = (self.obs.metrics(), self.mtag) {
+            mp.begin_invocation(mtag);
+        }
+        if let (Some(pp), Some(ptag)) = (self.obs.profile(), self.ptag) {
+            pp.begin_invocation(ptag);
+        }
+    }
+
+    /// Closes a committed invocation (the abort exit is
+    /// [`fail`](Self::fail)).
+    fn close_committed(&mut self) {
+        self.stats.commits += 1;
+        self.obs.emit(TraceEvent::GraftCommit { graft: self.tag });
+        self.close_brackets(true);
+        self.observe_watch_invoke();
+        self.end_invoke_span();
+    }
+
+    fn close_brackets(&self, committed: bool) {
+        if let Some(mp) = self.obs.metrics() {
+            mp.end_invocation(committed);
+        }
+        if let Some(pp) = self.obs.profile() {
+            pp.end_invocation(committed);
         }
     }
 
@@ -682,9 +624,7 @@ impl GraftInstance {
             self.engine.clock.now(),
         );
         if let reliability::Verdict::Quarantined { .. } = verdict {
-            if let Some(wp) = self.engine.watch_plane() {
-                wp.observe_quarantine(self.blame.0);
-            }
+            self.engine.obs.watched(|wp| wp.observe_quarantine(self.blame.0));
         }
     }
 
@@ -692,10 +632,8 @@ impl GraftInstance {
     /// plane's p99 window (both exits call this: commit directly,
     /// abort via [`fail`](Self::fail)).
     fn observe_watch_invoke(&self) {
-        if let Some(wp) = self.engine.watch_plane() {
-            let cost = self.engine.clock.now() - self.invoke_started;
-            wp.observe_invoke(self.blame.0, cost);
-        }
+        let cost = self.engine.clock.now() - self.invoke_started;
+        self.engine.obs.watched(|wp| wp.observe_invoke(self.blame.0, cost));
     }
 
     /// Invokes the graft through the full wrapper: transaction begin,
@@ -708,103 +646,67 @@ impl GraftInstance {
     /// [`GraftInstance::invoke`] with an explicit commit mode.
     pub fn invoke_mode(&mut self, args: [u64; 4], mode: CommitMode) -> InvokeOutcome {
         if self.dead {
-            if let Some(tag) = self.tag {
-                self.emit(TraceEvent::FallbackServed { graft: tag });
-            }
-            if let Some(mtag) = self.mtag {
-                if let Some(mp) = self.engine.metrics_plane() {
-                    mp.mark_fallback(mtag);
-                }
-            }
-            if self.ptag.is_some() {
-                if let Some(pp) = self.engine.profile_plane() {
-                    pp.mark_fallback();
-                }
-            }
+            self.serve_fallback();
             return InvokeOutcome::Dead;
         }
-        self.stats.invocations += 1;
-        self.invoke_started = self.engine.clock.now();
-        self.begin_invoke_span();
-        if let Some(tag) = self.tag {
-            self.emit(TraceEvent::GraftInvoke { graft: tag });
-        }
-        if let Some(mtag) = self.mtag {
-            if let Some(mp) = self.engine.metrics_plane() {
-                mp.begin_invocation(mtag);
-            }
-        }
-        if let Some(ptag) = self.ptag {
-            if let Some(pp) = self.engine.profile_plane() {
-                pp.begin_invocation(ptag);
-            }
-        }
+        self.open_invocation();
         let engine = Rc::clone(&self.engine);
         let txn_id = engine.txn.borrow_mut().begin(self.thread);
         self.vm.reset();
-        self.vm.regs[1] = args[0];
-        self.vm.regs[2] = args[1];
-        self.vm.regs[3] = args[2];
-        self.vm.regs[4] = args[3];
+        self.vm.regs[1..5].copy_from_slice(&args);
         let mut host = KernelHost::new(Rc::clone(&engine), self.thread, self.principal);
+        let result = match self.run_to_halt(&mut host, txn_id) {
+            Ok(result) => result,
+            Err(aborted) => return aborted,
+        };
+        match mode {
+            CommitMode::Commit => {
+                if engine.txn.borrow_mut().commit(self.thread).is_ok() {
+                    self.close_committed();
+                    InvokeOutcome::Ok { result, extents: host.extents, log: host.log }
+                } else {
+                    // A fired lock time-out stole the wrapper transaction
+                    // mid-run; the work is already undone, so the
+                    // invocation is an abort.
+                    let report = self.stolen_report(txn_id);
+                    self.fail(AbortedWhy::LockTimeout, report)
+                }
+            }
+            CommitMode::AbortAtEnd => {
+                let report = self.abort_wrapper(txn_id, AbortReason::Explicit);
+                self.fail(AbortedWhy::Requested, report)
+            }
+        }
+    }
+
+    /// Runs the graft from the VM's current state until it halts,
+    /// returning the halt value, or until the wrapper must abort it — a
+    /// trap, a stolen transaction, a CPU hog — returning the abort
+    /// outcome ([`fail`](Self::fail) has already run).
+    fn run_to_halt(&mut self, host: &mut KernelHost, txn_id: TxnId) -> Result<u64, InvokeOutcome> {
         let mut slices = 0u32;
         loop {
             let mut fuel = vino_sched::Scheduler::timeslice_fuel();
-            match self.vm.run(&self.program, &mut host, &engine.clock, &mut fuel) {
-                Exit::Halted(result) => {
-                    return match mode {
-                        CommitMode::Commit => {
-                            let committed = engine.txn.borrow_mut().commit(self.thread).is_ok();
-                            if committed {
-                                self.stats.commits += 1;
-                                if let Some(tag) = self.tag {
-                                    self.emit(TraceEvent::GraftCommit { graft: tag });
-                                }
-                                if self.mtag.is_some() {
-                                    if let Some(mp) = self.engine.metrics_plane() {
-                                        mp.end_invocation(true);
-                                    }
-                                }
-                                if self.ptag.is_some() {
-                                    if let Some(pp) = self.engine.profile_plane() {
-                                        pp.end_invocation(true);
-                                    }
-                                }
-                                self.observe_watch_invoke();
-                                self.end_invoke_span();
-                                InvokeOutcome::Ok { result, extents: host.extents, log: host.log }
-                            } else {
-                                // A fired lock time-out stole the wrapper
-                                // transaction mid-run; the work is already
-                                // undone, so the invocation is an abort.
-                                let report = self.stolen_report(txn_id);
-                                self.fail(AbortedWhy::LockTimeout, report)
-                            }
-                        }
-                        CommitMode::AbortAtEnd => {
-                            let report = self.abort_wrapper(txn_id, AbortReason::Explicit);
-                            self.fail(AbortedWhy::Requested, report)
-                        }
-                    };
-                }
+            match self.vm.run(&self.program, host, &self.engine.clock, &mut fuel) {
+                Exit::Halted(result) => return Ok(result),
                 Exit::Preempted => {
                     self.stats.preemptions += 1;
                     slices += 1;
                     // Preemption costs a switch pair (another thread ran).
-                    engine.clock.charge(costs::CONTEXT_SWITCH);
-                    engine.clock.charge(costs::CONTEXT_SWITCH);
+                    self.engine.clock.charge(costs::CONTEXT_SWITCH);
+                    self.engine.clock.charge(costs::CONTEXT_SWITCH);
                     // Other threads' lock time-outs fire while this graft
                     // is off-CPU; one of them may abort this wrapper's
                     // transaction (Rule 9).
-                    engine.txn.borrow_mut().fire_due_timeouts();
-                    if let Some(report) =
-                        engine.txn.borrow_mut().take_forced_abort(self.thread, txn_id)
-                    {
-                        return self.fail(AbortedWhy::LockTimeout, report);
+                    self.engine.txn.borrow_mut().fire_due_timeouts();
+                    let stolen =
+                        self.engine.txn.borrow_mut().take_forced_abort(self.thread, txn_id);
+                    if let Some(report) = stolen {
+                        return Err(self.fail(AbortedWhy::LockTimeout, report));
                     }
                     if slices >= self.max_slices {
                         let report = self.abort_wrapper(txn_id, AbortReason::Explicit);
-                        return self.fail(AbortedWhy::CpuHog, report);
+                        return Err(self.fail(AbortedWhy::CpuHog, report));
                     }
                 }
                 Exit::Trapped(trap) => {
@@ -818,7 +720,7 @@ impl GraftInstance {
                         _ => AbortReason::Explicit,
                     };
                     let report = self.abort_wrapper(txn_id, reason);
-                    return self.fail(AbortedWhy::Trap(trap), report);
+                    return Err(self.fail(AbortedWhy::Trap(trap), report));
                 }
             }
         }
@@ -841,40 +743,13 @@ impl GraftInstance {
         F: FnMut(usize, &mut AddressSpace) -> [u64; 4],
     {
         if self.dead {
-            if let Some(tag) = self.tag {
-                self.emit(TraceEvent::FallbackServed { graft: tag });
-            }
-            if let Some(mtag) = self.mtag {
-                if let Some(mp) = self.engine.metrics_plane() {
-                    mp.mark_fallback(mtag);
-                }
-            }
-            if self.ptag.is_some() {
-                if let Some(pp) = self.engine.profile_plane() {
-                    pp.mark_fallback();
-                }
-            }
+            self.serve_fallback();
             return BatchOutcome::Dead;
         }
         if count == 0 {
             return BatchOutcome::Ok { results: Vec::new() };
         }
-        self.stats.invocations += 1;
-        self.invoke_started = self.engine.clock.now();
-        self.begin_invoke_span();
-        if let Some(tag) = self.tag {
-            self.emit(TraceEvent::GraftInvoke { graft: tag });
-        }
-        if let Some(mtag) = self.mtag {
-            if let Some(mp) = self.engine.metrics_plane() {
-                mp.begin_invocation(mtag);
-            }
-        }
-        if let Some(ptag) = self.ptag {
-            if let Some(pp) = self.engine.profile_plane() {
-                pp.begin_invocation(ptag);
-            }
-        }
+        self.open_invocation();
         let engine = Rc::clone(&self.engine);
         let txn_id = engine.txn.borrow_mut().begin(self.thread);
         let mut host = KernelHost::new(Rc::clone(&engine), self.thread, self.principal);
@@ -882,69 +757,15 @@ impl GraftInstance {
         for i in 0..count {
             self.vm.reset();
             let args = marshal(i, &mut self.vm.mem);
-            self.vm.regs[1] = args[0];
-            self.vm.regs[2] = args[1];
-            self.vm.regs[3] = args[2];
-            self.vm.regs[4] = args[3];
-            let mut slices = 0u32;
-            loop {
-                let mut fuel = vino_sched::Scheduler::timeslice_fuel();
-                match self.vm.run(&self.program, &mut host, &engine.clock, &mut fuel) {
-                    Exit::Halted(result) => {
-                        results.push(result);
-                        break;
-                    }
-                    Exit::Preempted => {
-                        self.stats.preemptions += 1;
-                        slices += 1;
-                        engine.clock.charge(costs::CONTEXT_SWITCH);
-                        engine.clock.charge(costs::CONTEXT_SWITCH);
-                        engine.txn.borrow_mut().fire_due_timeouts();
-                        if let Some(report) =
-                            engine.txn.borrow_mut().take_forced_abort(self.thread, txn_id)
-                        {
-                            let out = self.fail(AbortedWhy::LockTimeout, report);
-                            return batch_aborted(i, out);
-                        }
-                        if slices >= self.max_slices {
-                            let report = self.abort_wrapper(txn_id, AbortReason::Explicit);
-                            let out = self.fail(AbortedWhy::CpuHog, report);
-                            return batch_aborted(i, out);
-                        }
-                    }
-                    Exit::Trapped(trap) => {
-                        let reason = match trap {
-                            Trap::HostError { code: errcode::NOMEM } => AbortReason::ResourceLimit,
-                            Trap::HostError { code: errcode::LOCK_TIMEOUT } => {
-                                AbortReason::LockTimeout(LockId(u64::MAX))
-                            }
-                            _ => AbortReason::Explicit,
-                        };
-                        let report = self.abort_wrapper(txn_id, reason);
-                        let out = self.fail(AbortedWhy::Trap(trap), report);
-                        return batch_aborted(i, out);
-                    }
-                }
+            self.vm.regs[1..5].copy_from_slice(&args);
+            match self.run_to_halt(&mut host, txn_id) {
+                Ok(result) => results.push(result),
+                Err(aborted) => return batch_aborted(i, aborted),
             }
         }
         let committed = engine.txn.borrow_mut().commit(self.thread).is_ok();
         if committed {
-            self.stats.commits += 1;
-            if let Some(tag) = self.tag {
-                self.emit(TraceEvent::GraftCommit { graft: tag });
-            }
-            if self.mtag.is_some() {
-                if let Some(mp) = self.engine.metrics_plane() {
-                    mp.end_invocation(true);
-                }
-            }
-            if self.ptag.is_some() {
-                if let Some(pp) = self.engine.profile_plane() {
-                    pp.end_invocation(true);
-                }
-            }
-            self.observe_watch_invoke();
-            self.end_invoke_span();
+            self.close_committed();
             BatchOutcome::Ok { results }
         } else {
             // A fired lock time-out stole the wrapper transaction
@@ -993,23 +814,12 @@ impl GraftInstance {
     fn fail(&mut self, why: AbortedWhy, report: AbortReport) -> InvokeOutcome {
         self.stats.aborts += 1;
         self.dead = true;
-        if self.mtag.is_some() {
-            if let Some(mp) = self.engine.metrics_plane() {
-                mp.end_invocation(false);
-            }
-        }
-        if self.ptag.is_some() {
-            if let Some(pp) = self.engine.profile_plane() {
-                pp.end_invocation(false);
-            }
-        }
+        self.close_brackets(false);
         let kind = reliability::classify(&why);
         self.engine.rm.borrow_mut().charge_blame(self.principal, report.cost.get());
-        if let Some(tp) = self.engine.trace_plane() {
-            let abort_kind = abort_kind_of(&why);
-            if let Some(tag) = self.tag {
-                tp.emit(TraceEvent::GraftAbort { graft: tag, kind: abort_kind });
-            }
+        let abort_kind = abort_kind_of(&why);
+        self.obs.emit(TraceEvent::GraftAbort { graft: self.tag, kind: abort_kind });
+        if let Some(tp) = self.engine.obs.trace() {
             // The flight recorder: snapshot the trace tail and the
             // abort's vital signs (abort path, allocation allowed).
             tp.record_post_mortem(
@@ -1026,12 +836,12 @@ impl GraftInstance {
             self.engine.clock.now(),
         );
         self.observe_watch_invoke();
-        if let Some(wp) = self.engine.watch_plane() {
+        self.engine.obs.watched(|wp| {
             wp.observe_abort(self.blame.0);
             if let reliability::Verdict::Quarantined { .. } = verdict {
                 wp.observe_quarantine(self.blame.0);
             }
-        }
+        });
         self.end_invoke_span();
         InvokeOutcome::Aborted { why, report }
     }

@@ -19,9 +19,9 @@
 //! a graft (Rule 9: the kernel keeps serving regardless).
 
 use std::collections::HashMap;
-use std::rc::Rc;
 
-use vino_sim::trace::{TraceEvent, TracePlane};
+use vino_sim::obs::Obs;
+use vino_sim::trace::TraceEvent;
 use vino_sim::Cycles;
 use vino_vm::interp::Trap;
 
@@ -139,8 +139,7 @@ pub enum Verdict {
 pub struct ReliabilityManager {
     policy: QuarantinePolicy,
     ledgers: HashMap<String, GraftLedger>,
-    trace: Option<Rc<TracePlane>>,
-    metrics: Option<Rc<vino_sim::metrics::MetricsPlane>>,
+    obs: Obs,
 }
 
 impl std::fmt::Debug for ReliabilityManager {
@@ -158,6 +157,13 @@ impl ReliabilityManager {
         ReliabilityManager::default()
     }
 
+    /// A manager with the default policy observed through `obs`:
+    /// quarantine trips emit `graft.quarantine` (and its counter) and
+    /// stamp the graft's metrics health state with the release deadline.
+    pub fn with_obs(obs: Obs) -> ReliabilityManager {
+        ReliabilityManager { obs, ..ReliabilityManager::default() }
+    }
+
     /// The active policy.
     pub fn policy(&self) -> QuarantinePolicy {
         self.policy
@@ -167,19 +173,6 @@ impl ReliabilityManager {
     pub fn set_policy(&mut self, policy: QuarantinePolicy) {
         assert!(policy.threshold > 0, "a zero threshold would quarantine on install");
         self.policy = policy;
-    }
-
-    /// Wires a trace plane: quarantine trips emit `graft.quarantine`
-    /// events (see `docs/TRACING.md`).
-    pub fn set_trace_plane(&mut self, plane: Rc<TracePlane>) {
-        self.trace = Some(plane);
-    }
-
-    /// Wires a metrics plane: quarantine trips bump the quarantine
-    /// counter and stamp the graft's health state with the release
-    /// deadline (see `docs/METRICS.md`).
-    pub fn set_metrics_plane(&mut self, plane: Rc<vino_sim::metrics::MetricsPlane>) {
-        self.metrics = Some(plane);
     }
 
     /// Records one abort of `graft` at virtual time `now`, returning
@@ -209,11 +202,9 @@ impl ReliabilityManager {
         ledger.recent.clear();
         let until = now + backoff;
         ledger.quarantined_until = Some(until);
-        if let Some(tp) = &self.trace {
-            let tag = tp.tag(graft);
-            tp.emit(TraceEvent::GraftQuarantine { graft: tag, until: until.get() });
-        }
-        if let Some(mp) = &self.metrics {
+        self.obs
+            .emit(TraceEvent::GraftQuarantine { graft: self.obs.tag(graft), until: until.get() });
+        if let Some(mp) = self.obs.metrics() {
             mp.quarantine(graft, until);
         }
         Verdict::Quarantined { until }

@@ -180,7 +180,7 @@ fn post_mortem_empty_after_clean_commit() {
     use vino_sim::trace::TracePlane;
     let engine = GraftEngine::new(VirtualClock::new());
     let tp = TracePlane::new(Rc::clone(&engine.clock));
-    engine.set_trace_plane(Rc::clone(&tp));
+    engine.obs.attach_trace(Rc::clone(&tp)).unwrap();
     let mut g = instance(&engine, "clean", "const r0, 7\nhalt r0");
     assert!(matches!(g.invoke([0; 4]), InvokeOutcome::Ok { result: 7, .. }));
     assert!(tp.post_mortem().is_none(), "clean commit leaves no post-mortem");
@@ -191,10 +191,9 @@ fn post_mortem_captures_nested_transaction_abort() {
     use vino_sim::trace::{AbortKind, TracePlane};
     let engine = GraftEngine::new(VirtualClock::new());
     let tp = TracePlane::new(Rc::clone(&engine.clock));
-    engine.set_trace_plane(Rc::clone(&tp));
-    // Engine-level test: wire the txn manager by hand (the kernel's
-    // attach_trace_plane does this when booting the full stack).
-    engine.txn.borrow_mut().set_trace_plane(Rc::clone(&tp));
+    // The engine shares its handle with the txn manager, so one attach
+    // traces both.
+    engine.obs.attach_trace(Rc::clone(&tp)).unwrap();
     // Callee: one undoable kv write, then a trap — its nested wrapper
     // transaction aborts while the caller's survives.
     let callee = share(instance(

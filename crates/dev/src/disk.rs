@@ -13,8 +13,9 @@
 use std::rc::Rc;
 
 use vino_sim::costs;
-use vino_sim::fault::{FaultPlane, FaultSite};
-use vino_sim::metrics::{Counter, MetricsPlane};
+use vino_sim::fault::FaultSite;
+use vino_sim::metrics::Counter;
+use vino_sim::obs::Obs;
 use vino_sim::{Cycles, SplitMix64, VirtualClock};
 
 /// A logical block address.
@@ -160,13 +161,11 @@ impl DiskImage {
 #[derive(Debug)]
 pub struct Disk {
     geometry: DiskGeometry,
-    clock: Rc<VirtualClock>,
     blocks: Vec<Option<Box<[u8; 4096]>>>,
     head: u64,
     rng: SplitMix64,
     stats: DiskStats,
-    fault: Option<Rc<FaultPlane>>,
-    metrics: Option<Rc<MetricsPlane>>,
+    obs: Obs,
 }
 
 impl Disk {
@@ -180,12 +179,10 @@ impl Disk {
         Disk {
             blocks: (0..geometry.blocks).map(|_| None).collect(),
             geometry,
-            clock,
+            obs: Obs::new(clock),
             head: 0,
             rng: SplitMix64::new(0x5EED_D15C),
             stats: DiskStats::default(),
-            fault: None,
-            metrics: None,
         }
     }
 
@@ -228,26 +225,13 @@ impl Disk {
         self.rng = SplitMix64::new(0x5EED_D15C);
     }
 
-    /// Attaches a fault plane. [`FaultSite::DiskRead`] and
-    /// [`FaultSite::DiskWrite`] model transient media errors the driver
-    /// retries — the access is re-done at full mechanical cost, so data
-    /// still arrives but the caller pays twice. [`FaultSite::DiskStall`]
-    /// adds the plane's stall latency on top of any access.
-    pub fn set_fault_plane(&mut self, plane: Rc<FaultPlane>) {
-        self.fault = Some(plane);
-    }
-
-    /// Attaches a metrics plane: every operation counted in
-    /// [`DiskStats`] also ticks its `vino_disk_*` counter, so the
-    /// device shows up in the exposition and health snapshot.
-    pub fn set_metrics_plane(&mut self, plane: Rc<MetricsPlane>) {
-        self.metrics = Some(plane);
-    }
-
-    fn metric(&self, c: Counter) {
-        if let Some(m) = &self.metrics {
-            m.inc(c);
-        }
+    /// The drive's observation handle, shared with the file system
+    /// mounted on it. [`FaultSite::DiskRead`] and [`FaultSite::DiskWrite`]
+    /// model media errors the driver retries at full mechanical cost;
+    /// [`FaultSite::DiskStall`] adds the plane's stall latency. Every
+    /// operation in [`DiskStats`] also ticks its `vino_disk_*` counter.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// The geometry in use.
@@ -274,7 +258,7 @@ impl Disk {
     /// misbehaviour — grafts cannot address the disk directly).
     pub fn read(&mut self, addr: BlockAddr) -> [u8; 4096] {
         let (data, cost) = self.read_with_cost(addr);
-        self.clock.charge(cost);
+        self.obs.clock().charge(cost);
         data
     }
 
@@ -286,7 +270,7 @@ impl Disk {
         let mut cost = self.access_cost(addr);
         cost += self.fault_overhead(FaultSite::DiskRead, cost);
         self.stats.reads += 1;
-        self.metric(Counter::DiskReads);
+        self.obs.inc(Counter::DiskReads);
         self.stats.busy += cost;
         let data = match &self.blocks[addr.0 as usize] {
             Some(b) => **b,
@@ -302,11 +286,11 @@ impl Disk {
     pub fn write(&mut self, addr: BlockAddr, data: &[u8; 4096]) {
         let mut cost = self.access_cost(addr);
         cost += self.fault_overhead(FaultSite::DiskWrite, cost);
-        self.clock.charge(cost);
+        self.obs.clock().charge(cost);
         self.stats.writes += 1;
-        self.metric(Counter::DiskWrites);
+        self.obs.inc(Counter::DiskWrites);
         self.stats.busy += cost;
-        let torn = match &self.fault {
+        let torn = match self.obs.fault() {
             Some(plane) if plane.fire(FaultSite::DiskTornWrite) => Some(plane.torn_prefix()),
             _ => None,
         };
@@ -322,9 +306,9 @@ impl Disk {
     /// crash-injection path; normal clients never call this.
     pub fn write_torn(&mut self, addr: BlockAddr, data: &[u8; 4096], prefix: usize) {
         let cost = self.access_cost(addr);
-        self.clock.charge(cost);
+        self.obs.clock().charge(cost);
         self.stats.writes += 1;
-        self.metric(Counter::DiskWrites);
+        self.obs.inc(Counter::DiskWrites);
         self.stats.busy += cost;
         self.persist_prefix(addr, data, prefix);
     }
@@ -337,7 +321,7 @@ impl Disk {
         };
         block[..prefix].copy_from_slice(&data[..prefix]);
         self.stats.torn_writes += 1;
-        self.metric(Counter::DiskTornWrites);
+        self.obs.inc(Counter::DiskTornWrites);
         self.blocks[addr.0 as usize] = Some(Box::new(block));
     }
 
@@ -352,19 +336,19 @@ impl Disk {
     /// mechanical cost is `base`. Media errors cost one full retry;
     /// stalls cost the plane's configured stall latency.
     fn fault_overhead(&mut self, site: FaultSite, base: Cycles) -> Cycles {
-        let Some(plane) = &self.fault else {
+        let Some(plane) = self.obs.fault() else {
             return Cycles(0);
         };
         let mut extra = Cycles(0);
         if plane.fire(site) {
             self.stats.io_errors += 1;
             extra += base;
-            self.metric(Counter::DiskIoErrors);
+            self.obs.inc(Counter::DiskIoErrors);
         }
         if plane.fire(FaultSite::DiskStall) {
             self.stats.stalls += 1;
             extra += plane.stall();
-            self.metric(Counter::DiskStalls);
+            self.obs.inc(Counter::DiskStalls);
         }
         extra
     }
@@ -376,7 +360,7 @@ impl Disk {
             self.stats.sequential_hits += 1;
         } else {
             self.stats.seeks += 1;
-            self.metric(Counter::DiskSeeks);
+            self.obs.inc(Counter::DiskSeeks);
         }
         self.head = addr.0 + 1; // Head ends just past the block read.
         cost
@@ -428,7 +412,7 @@ mod tests {
     fn sequential_reads_skip_seek() {
         let mut d = disk();
         d.read(BlockAddr(10)); // Position the head.
-        let clock = Rc::clone(&d.clock);
+        let clock = Rc::clone(d.obs().clock());
         let t0 = clock.now();
         d.read(BlockAddr(11));
         let seq_cost = clock.since(t0);
@@ -441,7 +425,7 @@ mod tests {
         // The premise of the read-ahead analysis: a random 4KB read
         // costs on the order of 10-20ms (the paper's 18ms page fault).
         let mut d = disk();
-        let clock = Rc::clone(&d.clock);
+        let clock = Rc::clone(d.obs().clock());
         let mut rng = SplitMix64::new(7);
         let n = 200;
         let t0 = clock.now();
@@ -458,7 +442,7 @@ mod tests {
     #[test]
     fn random_costs_dwarf_sequential() {
         let mut d = disk();
-        let clock = Rc::clone(&d.clock);
+        let clock = Rc::clone(d.obs().clock());
         d.read(BlockAddr(0));
         let t0 = clock.now();
         for i in 1..=50 {
@@ -500,11 +484,11 @@ mod tests {
     fn injected_read_error_doubles_cost_and_counts() {
         use vino_sim::fault::{FaultPlane, FaultSite};
         let mut d = disk();
-        let clock = Rc::clone(&d.clock);
+        let clock = Rc::clone(d.obs().clock());
         d.read(BlockAddr(10)); // Position the head for sequential reads.
         let plane = FaultPlane::seeded(1);
         plane.arm(FaultSite::DiskRead, 1);
-        d.set_fault_plane(plane);
+        d.obs().attach_fault(plane).unwrap();
         let t0 = clock.now();
         d.read(BlockAddr(11)); // Faulted: transfer + one retry.
         let faulted = clock.since(t0);
@@ -524,7 +508,7 @@ mod tests {
         let plane = FaultPlane::seeded(2);
         plane.set_stall(Cycles::from_ms(7));
         plane.arm(FaultSite::DiskStall, 1);
-        d.set_fault_plane(Rc::clone(&plane));
+        d.obs().attach_fault(Rc::clone(&plane)).unwrap();
         d.read(BlockAddr(5)); // Seek back — stall fires on top.
         assert_eq!(d.stats().stalls, 1);
         assert!(d.stats().busy >= Cycles::from_ms(7), "stall latency accounted");
@@ -562,7 +546,7 @@ mod tests {
             let mut d = disk();
             let plane = FaultPlane::seeded(seed);
             plane.set_rate(FaultSite::DiskWrite, 1, 3);
-            d.set_fault_plane(plane);
+            d.obs().attach_fault(plane).unwrap();
             for i in 0..200 {
                 d.write(BlockAddr(i), &[0; 4096]);
             }

@@ -8,15 +8,15 @@
 //! drains it.
 //!
 //! Overload is observable: the device keeps global and per-port drop
-//! tallies, and when a [`MetricsPlane`] is attached it mirrors
+//! tallies, and when a metrics plane is attached it mirrors
 //! delivered/dropped into [`Counter::NicDelivered`] /
 //! [`Counter::NicDropped`] so a health snapshot shows device-level loss
 //! next to the packet plane's own shedding.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 
-use vino_sim::metrics::{Counter, MetricsPlane};
+use vino_sim::metrics::Counter;
+use vino_sim::obs::Obs;
 
 /// A TCP or UDP port number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,7 +65,7 @@ pub struct Nic {
     dropped: u64,
     dropped_by_port: BTreeMap<Port, u64>,
     capacity: usize,
-    metrics: Option<Rc<MetricsPlane>>,
+    obs: Obs,
 }
 
 impl Nic {
@@ -74,17 +74,17 @@ impl Nic {
         Nic { capacity: 1024, next_fd: FIRST_CONN_FD, ..Nic::default() }
     }
 
-    /// Attaches the metrics plane; delivered/dropped events are mirrored
-    /// into [`Counter::NicDelivered`] / [`Counter::NicDropped`] from now
-    /// on.
-    pub fn set_metrics_plane(&mut self, mp: Rc<MetricsPlane>) {
-        self.metrics = Some(mp);
+    /// A NIC observed through `obs`: with a metrics plane, delivered and
+    /// dropped events tick [`Counter::NicDelivered`] /
+    /// [`Counter::NicDropped`] and the per-port drop table.
+    pub fn with_obs(obs: Obs) -> Nic {
+        Nic { obs, ..Nic::new() }
     }
 
     fn drop_event(&mut self, port: Port) {
         self.dropped += 1;
         *self.dropped_by_port.entry(port).or_insert(0) += 1;
-        if let Some(mp) = &self.metrics {
+        if let Some(mp) = self.obs.metrics() {
             mp.inc(Counter::NicDropped);
             mp.observe_nic_port_drop(port.0);
         }
@@ -123,9 +123,7 @@ impl Nic {
         let e = self.queue.pop_front();
         if e.is_some() {
             self.delivered += 1;
-            if let Some(mp) = &self.metrics {
-                mp.inc(Counter::NicDelivered);
-            }
+            self.obs.inc(Counter::NicDelivered);
         }
         e
     }
@@ -159,7 +157,8 @@ impl Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vino_sim::VirtualClock;
+    use std::rc::Rc;
+    use vino_sim::metrics::MetricsPlane;
 
     #[test]
     fn fifo_delivery() {
@@ -231,9 +230,10 @@ mod tests {
 
     #[test]
     fn metrics_plane_sees_delivered_and_dropped() {
-        let mp = MetricsPlane::new(VirtualClock::new());
-        let mut n = Nic::new();
-        n.set_metrics_plane(Rc::clone(&mp));
+        let obs = Obs::default();
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        let mut n = Nic::with_obs(obs);
         for _ in 0..1025 {
             n.inject_udp(Port(9), vec![]);
         }

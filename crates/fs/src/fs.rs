@@ -11,8 +11,11 @@ use std::fmt;
 use std::rc::Rc;
 
 use vino_dev::disk::{BlockAddr, Disk, DiskImage};
-use vino_sim::fault::{FaultPlane, FaultSite};
-use vino_sim::trace::SpanId;
+use vino_sim::fault::FaultSite;
+use vino_sim::metrics::Component;
+use vino_sim::obs::Obs;
+use vino_sim::profile::SpanKind;
+use vino_sim::trace::{CauseCtx, SpanId, TraceEvent};
 use vino_sim::{Cycles, VirtualClock};
 
 use crate::cache::BufferCache;
@@ -186,15 +189,6 @@ pub enum IngestOutcome {
     },
 }
 
-/// A recovery action noted before observability planes were attached,
-/// replayed into them at attach time (recovery runs at mount, which
-/// precedes plane wiring in the kernel boot sequence).
-#[derive(Debug, Clone, Copy)]
-enum RecoveryNote {
-    Replay { seq: u64, blocks: u64 },
-    Discard { seq: u64 },
-}
-
 /// Bound on a per-file prefetch queue: "if a graft of the compute-ra
 /// function asks for 100MB to be prefetched, it will not steal all of
 /// the system's memory pages. Instead, the 100MB will be prefetched in
@@ -204,7 +198,6 @@ pub const MAX_PREFETCH_QUEUE: usize = 4096;
 
 /// The mounted file system.
 pub struct FileSystem {
-    clock: Rc<VirtualClock>,
     disk: Disk,
     cache: BufferCache,
     sb: SuperBlock,
@@ -213,11 +206,8 @@ pub struct FileSystem {
     open: HashMap<Fd, OpenFile>,
     next_fd: u64,
     stats: FsStats,
-    trace: Option<Rc<vino_sim::trace::TracePlane>>,
-    metrics: Option<Rc<vino_sim::metrics::MetricsPlane>>,
-    profile: Option<Rc<vino_sim::profile::ProfilePlane>>,
-    watch: Option<Rc<vino_sim::watch::WatchPlane>>,
-    fault: Option<Rc<FaultPlane>>,
+    /// Shared with the disk: one handle observes the whole volume.
+    obs: Obs,
     /// Power died: every subsequent operation fails with
     /// [`FsError::PowerFailure`].
     halted: bool,
@@ -236,9 +226,10 @@ pub struct FileSystem {
     seal_spans: BTreeMap<u64, (SpanId, Cycles)>,
     /// What mount-time recovery found on this volume.
     recovery: Option<RecoveryReport>,
-    /// Recovery actions awaiting a trace / metrics plane.
-    pending_trace: Vec<RecoveryNote>,
-    pending_metrics: Vec<RecoveryNote>,
+    /// Recovery events (`fs.recovery_*`) emitted while the trace or the
+    /// metrics plane was still missing, kept for
+    /// [`replay_recovery`](Self::replay_recovery).
+    recovery_notes: Vec<TraceEvent>,
 }
 
 impl FileSystem {
@@ -258,8 +249,8 @@ impl FileSystem {
         }
         let data_blocks = sb.total_blocks - sb.data_start;
         FileSystem {
-            cache: BufferCache::new(Rc::clone(&clock), cache_blocks),
-            clock,
+            cache: BufferCache::new(clock, cache_blocks),
+            obs: disk.obs().clone(),
             disk,
             inodes: vec![Inode::default(); sb.max_inodes() as usize],
             bitmap: Bitmap::new(data_blocks),
@@ -267,25 +258,23 @@ impl FileSystem {
             open: HashMap::new(),
             next_fd: 3,
             stats: FsStats::default(),
-            trace: None,
-            metrics: None,
-            profile: None,
-            watch: None,
-            fault: None,
             halted: false,
             next_seq: 1,
             committed: Vec::new(),
             last_committed: 0,
             seal_spans: BTreeMap::new(),
             recovery: None,
-            pending_trace: Vec::new(),
-            pending_metrics: Vec::new(),
+            recovery_notes: Vec::new(),
         }
     }
 
     /// Mounts an existing volume: runs journal recovery
     /// ([`FileSystem::recover`]) over the raw disk, then rebuilds
-    /// in-memory metadata from the recovered blocks.
+    /// in-memory metadata from the recovered blocks. A volume whose
+    /// superblock does not decode, or whose in-use inodes claim blocks
+    /// outside the data region, overlapping another extent, or not
+    /// marked allocated in the bitmap, is refused as
+    /// [`FsError::BadVolume`].
     pub fn mount(
         clock: Rc<VirtualClock>,
         mut disk: Disk,
@@ -294,8 +283,8 @@ impl FileSystem {
         let sb = SuperBlock::decode(&disk.read(BlockAddr(0))).ok_or(FsError::BadVolume)?;
         let data_blocks = sb.total_blocks - sb.data_start;
         let mut fs = FileSystem {
-            cache: BufferCache::new(Rc::clone(&clock), cache_blocks),
-            clock,
+            cache: BufferCache::new(clock, cache_blocks),
+            obs: disk.obs().clone(),
             disk,
             inodes: Vec::new(),
             bitmap: Bitmap::new(data_blocks),
@@ -303,21 +292,16 @@ impl FileSystem {
             open: HashMap::new(),
             next_fd: 3,
             stats: FsStats::default(),
-            trace: None,
-            metrics: None,
-            profile: None,
-            watch: None,
-            fault: None,
             halted: false,
             next_seq: 1,
             committed: Vec::new(),
             last_committed: 0,
             seal_spans: BTreeMap::new(),
             recovery: None,
-            pending_trace: Vec::new(),
-            pending_metrics: Vec::new(),
+            recovery_notes: Vec::new(),
         };
         fs.recover();
+        fs.check_extents()?;
         Ok(fs)
     }
 
@@ -389,7 +373,7 @@ impl FileSystem {
         report.replayed_txns += 1;
         report.replayed_blocks += n as u64;
         self.retain_committed(JournalRecord { seq, entries: desc.entries.clone(), payloads });
-        self.note_recovery(RecoveryNote::Replay { seq, blocks: n as u64 });
+        self.note_recovery(TraceEvent::FsRecoveryReplay { seq, blocks: n as u64 });
         report
     }
 
@@ -398,20 +382,53 @@ impl FileSystem {
     fn discard_tail(&mut self, seq: u64, report: &mut RecoveryReport) {
         self.disk.write(BlockAddr(self.sb.journal_start as u64), &[0u8; BLOCK_SIZE]);
         report.discarded_txns += 1;
-        self.note_recovery(RecoveryNote::Discard { seq });
+        self.note_recovery(TraceEvent::FsRecoveryDiscard { seq });
     }
 
-    /// Emits a recovery action to the attached planes, or parks it for
-    /// attach-time flushing (recovery runs before planes are wired).
-    fn note_recovery(&mut self, note: RecoveryNote) {
-        match &self.trace {
-            Some(tp) => tp.emit(recovery_trace_event(note)),
-            None => self.pending_trace.push(note),
+    /// Emits a recovery event, keeping it for
+    /// [`replay_recovery`](Self::replay_recovery) while the trace or the
+    /// metrics plane is missing (mount runs before planes attach).
+    fn note_recovery(&mut self, ev: TraceEvent) {
+        self.obs.emit(ev);
+        if self.obs.trace().is_none() || self.obs.metrics().is_none() {
+            self.recovery_notes.push(ev);
         }
-        match &self.metrics {
-            Some(mp) => mp.inc(recovery_counter(note)),
-            None => self.pending_metrics.push(note),
+    }
+
+    /// Replays the kept recovery events into `to`, a handle holding only
+    /// the plane being attached, so each plane sees each recovery action
+    /// exactly once however late it attaches.
+    pub fn replay_recovery(&self, to: &Obs) {
+        for ev in &self.recovery_notes {
+            to.emit(*ev);
         }
+    }
+
+    /// Refuses a volume whose in-use inodes claim blocks outside the
+    /// data region, blocks another extent already claims, or blocks
+    /// the allocation bitmap does not mark — any of which would send a
+    /// later read or write out of bounds or into another file. Checks
+    /// the metadata [`reload_metadata`](Self::reload_metadata) already
+    /// read, in time linear in the in-use extent blocks (plus a sort of
+    /// the extents).
+    fn check_extents(&self) -> Result<(), FsError> {
+        let (lo, hi) = (self.sb.data_start as u64, self.sb.total_blocks as u64);
+        let mut claimed: Vec<(u64, u64)> = Vec::new();
+        for e in self.inodes.iter().filter(|i| i.used).flat_map(|i| &i.extents) {
+            let (start, end) = (e.start as u64, e.start as u64 + e.len as u64);
+            if start < lo || end > hi {
+                return Err(FsError::BadVolume);
+            }
+            if !(start..end).all(|b| self.bitmap.is_set((b - lo) as u32)) {
+                return Err(FsError::BadVolume);
+            }
+            claimed.push((start, end));
+        }
+        claimed.sort_unstable();
+        if claimed.windows(2).any(|w| w[0].1 > w[1].0) {
+            return Err(FsError::BadVolume);
+        }
+        Ok(())
     }
 
     /// Rebuilds in-memory inode table and allocation bitmap from disk.
@@ -451,9 +468,6 @@ impl FileSystem {
         self.disk.stats()
     }
 
-    /// Attaches a fault plane to the underlying disk (injected media
-    /// errors, stalls and torn writes) and to the file system's own
-    /// crash points (the `KernelCrash*` site family; see
     /// Payload blocks one journal transaction can carry. Writes wider
     /// than this split into multiple transactions — each atomic on its
     /// own, so a crash between chunks leaves a clean prefix durable
@@ -462,63 +476,14 @@ impl FileSystem {
         self.sb.journal_capacity()
     }
 
-    /// `vino_sim::fault` and `docs/RECOVERY.md`).
-    pub fn set_fault_plane(&mut self, plane: Rc<vino_sim::fault::FaultPlane>) {
-        self.disk.set_fault_plane(Rc::clone(&plane));
-        self.fault = Some(plane);
-    }
-
-    /// Wires a trace plane: served reads/writes, issued prefetches and
-    /// journal/checkpoint/recovery steps emit `fs.*` events (see
-    /// `docs/TRACING.md`). Recovery actions from mount (which precedes
-    /// plane wiring) are flushed retroactively here.
-    pub fn set_trace_plane(&mut self, plane: Rc<vino_sim::trace::TracePlane>) {
-        for note in self.pending_trace.drain(..) {
-            plane.emit(recovery_trace_event(note));
-        }
-        self.trace = Some(plane);
-    }
-
-    /// Wires a metrics plane: reads/writes/prefetches and
-    /// journal/recovery steps bump their counters, the underlying disk
-    /// ticks its `vino_disk_*` series, and the `compute-ra` dispatch
-    /// indirection cost is attributed to the graft it dispatches (see
-    /// `docs/METRICS.md`). Recovery actions from mount are flushed
-    /// retroactively here.
-    pub fn set_metrics_plane(&mut self, plane: Rc<vino_sim::metrics::MetricsPlane>) {
-        for note in self.pending_metrics.drain(..) {
-            plane.inc(recovery_counter(note));
-        }
-        self.disk.set_metrics_plane(Rc::clone(&plane));
-        self.metrics = Some(plane);
-    }
-
-    /// Wires a profile plane: the `compute-ra` dispatch indirection is
-    /// charged to the invocation it produces and recorded as an
-    /// `fs-dispatch` span in its span tree (see `docs/PROFILING.md`).
-    pub fn set_profile_plane(&mut self, plane: Rc<vino_sim::profile::ProfilePlane>) {
-        self.profile = Some(plane);
-    }
-
-    /// Wires a watch plane: every journal append feeds the
-    /// journal-occupancy gauge (blocks the transaction left in the
-    /// journal region, against its capacity), so the `journal-full`
-    /// SLO rule sees pressure the moment it builds (see
-    /// `docs/WATCH.md`).
-    pub fn set_watch_plane(&mut self, plane: Rc<vino_sim::watch::WatchPlane>) {
-        self.watch = Some(plane);
-    }
-
-    fn emit(&self, ev: vino_sim::trace::TraceEvent) {
-        if let Some(tp) = &self.trace {
-            tp.emit(ev);
-        }
-    }
-
-    fn minc(&self, c: vino_sim::metrics::Counter) {
-        if let Some(mp) = &self.metrics {
-            mp.inc(c);
-        }
+    /// The volume's observation handle, shared with its disk. Its fault
+    /// plane also drives the `KernelCrash*` power cuts inside the commit
+    /// pipeline (`docs/RECOVERY.md`). Reads, writes, prefetches and
+    /// journal/checkpoint/recovery steps emit `fs.*` events; the
+    /// `compute-ra` dispatch is billed to the invocation it produces; the
+    /// watch plane sees each append's journal occupancy.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Whether power has died on this instance.
@@ -581,11 +546,9 @@ impl FileSystem {
     /// crash site fires, the kernel is dead — mark the instance halted
     /// and fail the operation. Nothing after this point executes.
     fn crash_point(&mut self, site: FaultSite) -> Result<(), FsError> {
-        if let Some(p) = &self.fault {
-            if p.fire(site) {
-                self.halted = true;
-                return Err(FsError::PowerFailure);
-            }
+        if self.obs.fire(site) {
+            self.halted = true;
+            return Err(FsError::PowerFailure);
         }
         Ok(())
     }
@@ -594,12 +557,10 @@ impl FileSystem {
     /// if it fires, the block persists only as a torn prefix and power
     /// dies with it.
     fn journal_write(&mut self, addr: BlockAddr, data: &[u8; BLOCK_SIZE]) -> Result<(), FsError> {
-        if let Some(p) = self.fault.clone() {
-            if p.fire(FaultSite::KernelCrashMidJournal) {
-                self.disk.write_torn(addr, data, p.torn_prefix());
-                self.halted = true;
-                return Err(FsError::PowerFailure);
-            }
+        if let Some(p) = self.obs.fault().filter(|p| p.fire(FaultSite::KernelCrashMidJournal)) {
+            self.disk.write_torn(addr, data, p.torn_prefix());
+            self.halted = true;
+            return Err(FsError::PowerFailure);
         }
         self.disk.write(addr, data);
         Ok(())
@@ -657,13 +618,10 @@ impl FileSystem {
             self.journal_write(BlockAddr(js + 1 + i as u64), data)?;
         }
         let n = desc.entries.len() as u64;
-        self.emit(vino_sim::trace::TraceEvent::FsJournalAppend { seq, blocks: n });
-        self.minc(vino_sim::metrics::Counter::FsJournalAppends);
-        if let Some(wp) = &self.watch {
-            // Occupancy while this transaction sits in the journal
-            // region: descriptor + payload blocks + commit marker.
-            wp.observe_journal(n + 2, cap as u64 + 2);
-        }
+        self.obs.emit(TraceEvent::FsJournalAppend { seq, blocks: n });
+        // Occupancy while this transaction sits in the journal region:
+        // descriptor + payload blocks + commit marker.
+        self.obs.watched(|wp| wp.observe_journal(n + 2, cap as u64 + 2));
         // The commit point: once this block is durable the
         // transaction survives any crash. Its meaningful bytes fit
         // within the smallest torn prefix, so the write is
@@ -672,15 +630,11 @@ impl FileSystem {
         // The seal is an event origin: mint the record's causal span
         // (child of whatever invocation context is in force) and keep
         // it with the commit stamp so replication chains off it.
-        let seal_ctx = self.trace.as_ref().map(|tp| {
-            let ctx = tp.mint_span(tp.ctx().span);
-            tp.emit_with_ctx(vino_sim::trace::TraceEvent::FsJournalCommit { seq }, ctx);
-            ctx
-        });
-        if let Some(ctx) = seal_ctx {
-            self.seal_spans.insert(seq, (ctx.span, self.clock.now()));
+        let seal_ctx = self.obs.trace().map_or(CauseCtx::NONE, |tp| tp.mint_span(tp.ctx().span));
+        self.obs.emit_with_ctx(TraceEvent::FsJournalCommit { seq }, seal_ctx);
+        if self.obs.trace().is_some() {
+            self.seal_spans.insert(seq, (seal_ctx.span, self.obs.clock().now()));
         }
-        self.minc(vino_sim::metrics::Counter::FsJournalCommits);
         // Commit is durable: retain the record for replication shipping
         // before any later crash point can interrupt the checkpoint.
         self.retain_committed(JournalRecord {
@@ -699,12 +653,7 @@ impl FileSystem {
             }
         }
         // The checkpoint belongs to the same causal story as its seal.
-        if let (Some(tp), Some(ctx)) = (&self.trace, seal_ctx) {
-            tp.emit_with_ctx(vino_sim::trace::TraceEvent::FsCheckpoint { seq, blocks: n }, ctx);
-        } else {
-            self.emit(vino_sim::trace::TraceEvent::FsCheckpoint { seq, blocks: n });
-        }
-        self.minc(vino_sim::metrics::Counter::FsCheckpoints);
+        self.obs.emit_with_ctx(TraceEvent::FsCheckpoint { seq, blocks: n }, seal_ctx);
         Ok(())
     }
 
@@ -998,8 +947,7 @@ impl FileSystem {
         let size = self.inodes[inode_idx].size;
         self.check_range(inode_idx, offset, len)?;
         self.stats.reads += 1;
-        self.minc(vino_sim::metrics::Counter::FsReads);
-        self.emit(vino_sim::trace::TraceEvent::FsRead { fd: fd.0, len });
+        self.obs.emit(TraceEvent::FsRead { fd: fd.0, len });
         // Read the covered blocks through the cache.
         let mut out = Vec::with_capacity(len as usize);
         if len > 0 {
@@ -1020,8 +968,6 @@ impl FileSystem {
         // compute-ra: default or grafted (§4.1.2).
         let req = RaRequest { offset, len, sequential, file_size: size };
         let extents = {
-            let metrics = self.metrics.clone();
-            let profile = self.profile.clone();
             let f = self.open.get_mut(&fd).expect("checked");
             f.last_end = Some(offset + len);
             match f.ra.as_mut() {
@@ -1031,14 +977,8 @@ impl FileSystem {
                     // metrics plane attributes it to the invocation the
                     // dispatch produces.
                     let cost = Cycles(vino_sim::costs::INDIRECTION_CYCLES);
-                    self.clock.charge(cost);
-                    if let Some(mp) = &metrics {
-                        mp.charge(vino_sim::metrics::Component::Indirection, cost);
-                    }
-                    if let Some(pp) = &profile {
-                        pp.charge(vino_sim::metrics::Component::Indirection, cost);
-                        pp.mark(vino_sim::profile::SpanKind::FsDispatch, cost);
-                    }
+                    self.obs.bill(Component::Indirection, cost);
+                    self.obs.mark(SpanKind::FsDispatch, cost);
                     graft.compute_ra(&req)
                 }
                 None => default_compute_ra(&req),
@@ -1060,8 +1000,7 @@ impl FileSystem {
         let inode_idx = self.open.get(&fd).ok_or(FsError::BadFd(fd))?.inode_idx;
         self.check_range(inode_idx, offset, data.len() as u64)?;
         self.stats.writes += 1;
-        self.minc(vino_sim::metrics::Counter::FsWrites);
-        self.emit(vino_sim::trace::TraceEvent::FsWrite { fd: fd.0, len: data.len() as u64 });
+        self.obs.emit(TraceEvent::FsWrite { fd: fd.0, len: data.len() as u64 });
         let mut targets = Vec::new();
         let mut pos = 0usize;
         while pos < data.len() {
@@ -1125,8 +1064,7 @@ impl FileSystem {
             match self.cache.prefetch(&mut self.disk, BlockAddr(abs as u64)) {
                 PrefetchOutcome::Issued => {
                     self.stats.prefetches_issued += 1;
-                    self.minc(vino_sim::metrics::Counter::FsPrefetches);
-                    self.emit(vino_sim::trace::TraceEvent::FsPrefetch { fd: fd.0 });
+                    self.obs.emit(TraceEvent::FsPrefetch { fd: fd.0 });
                 }
                 PrefetchOutcome::AlreadyCached => {}
                 PrefetchOutcome::NoRoom => {
@@ -1161,22 +1099,6 @@ impl FileSystem {
     }
 }
 
-fn recovery_trace_event(note: RecoveryNote) -> vino_sim::trace::TraceEvent {
-    match note {
-        RecoveryNote::Replay { seq, blocks } => {
-            vino_sim::trace::TraceEvent::FsRecoveryReplay { seq, blocks }
-        }
-        RecoveryNote::Discard { seq } => vino_sim::trace::TraceEvent::FsRecoveryDiscard { seq },
-    }
-}
-
-fn recovery_counter(note: RecoveryNote) -> vino_sim::metrics::Counter {
-    match note {
-        RecoveryNote::Replay { .. } => vino_sim::metrics::Counter::FsRecoveryReplays,
-        RecoveryNote::Discard { .. } => vino_sim::metrics::Counter::FsRecoveryDiscards,
-    }
-}
-
 impl fmt::Debug for FileSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FileSystem")
@@ -1205,6 +1127,7 @@ pub fn default_compute_ra(req: &RaRequest) -> Vec<Extent> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vino_sim::fault::FaultPlane;
 
     fn fresh(cache_blocks: usize) -> FileSystem {
         let clock = VirtualClock::new();
@@ -1261,32 +1184,67 @@ mod tests {
         assert_eq!(fs.read(empty, 0, 0), Ok(Vec::new()));
     }
 
-    #[test]
-    fn size_beyond_the_extents_is_a_bad_volume() {
+    /// Formats a volume holding one-block files "a" and "b", lets
+    /// `forge` rewrite b's on-disk inode (given a's extents), retires
+    /// the journal so recovery does not redo the creates over the
+    /// forgery, and mounts the result.
+    fn mount_forged(forge: impl FnOnce(&mut Inode, &[DiskExtent])) -> Result<FileSystem, FsError> {
         let clock = VirtualClock::new();
         let disk = Disk::new(Rc::clone(&clock));
         let mut fs = FileSystem::format(Rc::clone(&clock), disk, 8, 64);
-        fs.create("short", BLOCK_SIZE as u64).unwrap();
-        // Forge the on-disk inode: four blocks of size over a one-block
-        // extent.
-        let idx = fs.inodes.iter().position(|i| i.used && i.name == "short").unwrap();
+        fs.create("a", BLOCK_SIZE as u64).unwrap();
+        fs.create("b", BLOCK_SIZE as u64).unwrap();
+        let a = fs.lookup("a").unwrap();
+        let idx = fs.lookup("b").unwrap();
         let addr = BlockAddr(1 + (idx / INODES_PER_BLOCK) as u64);
         let off = (idx % INODES_PER_BLOCK) * INODE_SIZE;
         let mut block = fs.disk.read(addr);
         let mut ino = Inode::decode(block[off..off + INODE_SIZE].try_into().unwrap());
-        ino.size = 4 * BLOCK_SIZE as u64;
+        forge(&mut ino, &fs.inodes[a].extents);
         block[off..off + INODE_SIZE].copy_from_slice(&ino.encode());
         fs.disk.write(addr, &block);
-        // Retire the journal so mount-time recovery does not redo the
-        // create over the forgery.
         fs.disk.write(BlockAddr(fs.sb.journal_start as u64), &[0u8; BLOCK_SIZE]);
         let FileSystem { disk, .. } = fs;
-        let mut forged = FileSystem::mount(clock, disk, 8).unwrap();
-        let fd = forged.open("short").unwrap();
+        FileSystem::mount(clock, disk, 8)
+    }
+
+    #[test]
+    fn size_beyond_the_extents_is_a_bad_volume() {
+        // Four blocks of size over a one-block extent.
+        let mut forged = mount_forged(|ino, _| ino.size = 4 * BLOCK_SIZE as u64).unwrap();
+        let fd = forged.open("b").unwrap();
         assert_eq!(forged.read(fd, 0, 2 * BLOCK_SIZE as u64), Err(FsError::BadVolume));
         assert_eq!(forged.write(fd, BLOCK_SIZE as u64, b"x"), Err(FsError::BadVolume));
         // The bytes the extent does back stay readable.
         assert_eq!(forged.read(fd, 0, 4).map(|b| b.len()), Ok(4));
+    }
+
+    #[test]
+    fn extent_past_the_volume_end_is_refused_at_mount() {
+        // Before the check this mounted cleanly and the first read of
+        // "b" indexed the disk out of range.
+        let total = vino_dev::disk::DiskGeometry::default().blocks as u32;
+        let forged =
+            mount_forged(|ino, _| ino.extents = vec![DiskExtent { start: total - 1, len: 4 }]);
+        assert_eq!(forged.err(), Some(FsError::BadVolume));
+        let forged = mount_forged(|ino, _| ino.extents = vec![DiskExtent { start: 1, len: 1 }]);
+        assert_eq!(forged.err(), Some(FsError::BadVolume), "an extent over the inode table");
+    }
+
+    #[test]
+    fn extent_overlapping_another_file_is_refused_at_mount() {
+        let forged = mount_forged(|ino, a| ino.extents = a.to_vec());
+        assert_eq!(forged.err(), Some(FsError::BadVolume));
+    }
+
+    #[test]
+    fn extent_not_marked_in_the_bitmap_is_refused_at_mount() {
+        let total = vino_dev::disk::DiskGeometry::default().blocks as u32;
+        let forged =
+            mount_forged(|ino, _| ino.extents = vec![DiskExtent { start: total - 1, len: 1 }]);
+        assert_eq!(forged.err(), Some(FsError::BadVolume));
+        // The unforged volume mounts.
+        assert!(mount_forged(|_, _| {}).is_ok());
     }
 
     #[test]
@@ -1369,7 +1327,7 @@ mod tests {
         assert_eq!(fs.stats().ra_graft_calls, 1);
         assert_eq!(fs.stats().prefetches_issued, 1);
         // Wait out the I/O, then the random read is a hit.
-        fs.clock.charge(Cycles::from_ms(50));
+        fs.obs().clock().charge(Cycles::from_ms(50));
         let misses0 = fs.cache_stats().misses;
         fs.read(fd, 20 * BLOCK_SIZE as u64, 4096).unwrap();
         assert_eq!(fs.cache_stats().misses, misses0, "prefetched block must hit");
@@ -1471,7 +1429,7 @@ mod tests {
 
         let plane = FaultPlane::seeded(7);
         plane.arm(site, 1);
-        fs.set_fault_plane(Rc::clone(&plane));
+        fs.obs().attach_fault(Rc::clone(&plane)).unwrap();
         assert_eq!(fs.write(fd, 0, b"NEW CONTENTS"), Err(FsError::PowerFailure));
         assert!(fs.halted());
         assert_eq!(plane.injected(site), 1);
@@ -1532,7 +1490,7 @@ mod tests {
         let fd = fs.open("f").unwrap();
         let plane = FaultPlane::seeded(1);
         plane.arm(FaultSite::KernelCrashBeforeJournal, 1);
-        fs.set_fault_plane(plane);
+        fs.obs().attach_fault(plane).unwrap();
         assert_eq!(fs.write(fd, 0, b"x"), Err(FsError::PowerFailure));
         // Every subsequent operation on the dead instance fails the same
         // way — no half-alive kernel.
@@ -1592,7 +1550,7 @@ mod tests {
         let fd = fs.open("t").unwrap();
         let plane = FaultPlane::seeded(9);
         plane.arm(FaultSite::KernelCrashMidJournal, 1);
-        fs.set_fault_plane(plane);
+        fs.obs().attach_fault(plane).unwrap();
         assert_eq!(fs.write(fd, 0, b"torn"), Err(FsError::PowerFailure));
         // Seq 2 began but never committed: the tail ends at 1, readable
         // even off the dead instance.
@@ -1678,7 +1636,7 @@ mod tests {
             let fd = fs.open("r").unwrap();
             let plane = FaultPlane::seeded(seed);
             plane.arm(FaultSite::KernelCrashMidJournal, 2);
-            fs.set_fault_plane(plane);
+            fs.obs().attach_fault(plane).unwrap();
             let _ = fs.write(fd, 0, &[7u8; 3 * BLOCK_SIZE]);
             let _ = fs.write(fd, 100, b"second attempt");
             let image = fs.disk_image();

@@ -11,11 +11,10 @@
 //! tooling; an HMAC keeps the reproduction self-contained while giving
 //! the same property: only images produced by the keyed tool verify).
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
-use vino_sim::fault::{FaultPlane, FaultSite};
+use vino_sim::fault::FaultSite;
+use vino_sim::obs::Obs;
 use vino_vm::encode::{decode, encode, DecodeError};
 use vino_vm::isa::Program;
 
@@ -85,22 +84,26 @@ impl std::error::Error for VerifyError {}
 #[derive(Debug, Clone)]
 pub struct MisfitTool {
     key: SigningKey,
-    fault: RefCell<Option<Rc<FaultPlane>>>,
+    obs: Obs,
 }
 
 impl MisfitTool {
     /// Creates a tool instance holding the signing key.
     pub fn new(key: SigningKey) -> MisfitTool {
-        MisfitTool { key, fault: RefCell::new(None) }
+        MisfitTool::with_obs(key, Obs::default())
     }
 
-    /// Attaches a fault plane: each
+    /// A tool observed through `obs`: with a fault plane attached, each
     /// [`verify_and_decode`](Self::verify_and_decode) call visits
     /// [`FaultSite::ImageCorrupt`]; when it fires the image is rejected
-    /// as if corrupted in transit. `&self` because the kernel holds its
-    /// tool instance behind shared references.
-    pub fn set_fault_plane(&self, plane: Rc<FaultPlane>) {
-        *self.fault.borrow_mut() = Some(plane);
+    /// as if corrupted in transit.
+    pub fn with_obs(key: SigningKey, obs: Obs) -> MisfitTool {
+        MisfitTool { key, obs }
+    }
+
+    /// The observation handle the tool consults.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// The full MiSFIT pipeline: SFI-instrument `prog`, encode it, and
@@ -126,7 +129,7 @@ impl MisfitTool {
     /// Kernel-side verification: recompute the checksum, compare, and
     /// decode. Exactly the §3.3 load sequence.
     pub fn verify_and_decode(&self, image: &SignedImage) -> Result<Program, VerifyError> {
-        if self.fault.borrow().as_ref().is_some_and(|p| p.fire(FaultSite::ImageCorrupt)) {
+        if self.obs.fire(FaultSite::ImageCorrupt) {
             // Injected corruption: the checksum comparison fails exactly
             // as it would for a genuinely damaged image.
             return Err(VerifyError::BadSignature);
@@ -203,7 +206,7 @@ mod tests {
         let (img, _) = t.process(&sample()).unwrap();
         let plane = FaultPlane::seeded(0);
         plane.arm(FaultSite::ImageCorrupt, 1);
-        t.set_fault_plane(plane);
+        t.obs().attach_fault(plane).unwrap();
         assert_eq!(t.verify_and_decode(&img), Err(VerifyError::BadSignature));
         assert!(t.verify_and_decode(&img).is_ok(), "one-shot spent; image is fine");
     }

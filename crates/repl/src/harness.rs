@@ -184,11 +184,6 @@ pub struct ShippingState {
 pub struct ReplHarness {
     cfg: ReplConfig,
     clock: Rc<VirtualClock>,
-    fault: Rc<FaultPlane>,
-    p_trace: Rc<TracePlane>,
-    r_trace: Rc<TracePlane>,
-    metrics: Rc<MetricsPlane>,
-    watch: Rc<WatchPlane>,
     primary: Rc<Kernel>,
     replica: Rc<Kernel>,
     p_plane: Rc<PacketPlane>,
@@ -256,11 +251,6 @@ impl ReplHarness {
         ReplHarness {
             cfg,
             clock,
-            fault,
-            p_trace,
-            r_trace,
-            metrics,
-            watch,
             primary,
             replica,
             p_plane,
@@ -284,35 +274,35 @@ impl ReplHarness {
 
     /// The shared fault plane — arm or rate the `Repl*` sites here.
     pub fn fault_plane(&self) -> &Rc<FaultPlane> {
-        &self.fault
+        self.primary.engine.obs.fault().expect("attached at boot")
     }
 
     /// The primary's trace plane (node 0).
     pub fn primary_trace(&self) -> &Rc<TracePlane> {
-        &self.p_trace
+        self.primary.engine.obs.trace().expect("attached at boot")
     }
 
     /// The replica's trace plane (node 1; it survives replica reboots
     /// — a rebooted kernel is re-attached to the same plane).
     pub fn replica_trace(&self) -> &Rc<TracePlane> {
-        &self.r_trace
+        self.replica.engine.obs.trace().expect("attached at boot and every reboot")
     }
 
     /// The deterministically merged cross-kernel stream — total order
     /// `(tick, node, seq)`, causal parents before children. See
     /// [`TracePlane::merge_streams`].
     pub fn merged_trace(&self) -> MergedTrace {
-        TracePlane::merge_streams(&[&self.p_trace, &self.r_trace])
+        TracePlane::merge_streams(&[self.primary_trace(), self.replica_trace()])
     }
 
     /// The shared metrics plane.
     pub fn metrics_plane(&self) -> &Rc<MetricsPlane> {
-        &self.metrics
+        self.primary.engine.obs.metrics().expect("attached at boot")
     }
 
     /// The primary's watch plane (carries the replication-lag SLO).
     pub fn watch_plane(&self) -> &Rc<WatchPlane> {
-        &self.watch
+        self.primary.engine.obs.watch().expect("attached at boot")
     }
 
     /// The primary kernel.
@@ -364,8 +354,8 @@ impl ReplHarness {
             last_acked: self.acked,
             applied: self.applied,
             lag: self.lag(),
-            retransmits: self.metrics.get(Counter::ReplRetransmits),
-            frame_drops: self.metrics.get(Counter::ReplFrameDrops),
+            retransmits: self.metrics_plane().get(Counter::ReplRetransmits),
+            frame_drops: self.metrics_plane().get(Counter::ReplFrameDrops),
             primary_dead: self.primary_dead,
             replica_reboots: self.replica_reboots,
         }
@@ -395,7 +385,7 @@ impl ReplHarness {
     /// See the module docs for the schedule points.
     pub fn ship_round(&mut self) -> RoundReport {
         let mut rep = RoundReport::default();
-        if !self.primary_dead && self.fault.fire(FaultSite::ReplPrimaryCrash) {
+        if !self.primary_dead && self.primary.engine.obs.fire(FaultSite::ReplPrimaryCrash) {
             self.kill_primary();
             rep.death = NodeDeath::Primary;
             rep.acked = self.acked;
@@ -411,10 +401,12 @@ impl ReplHarness {
         // adjacent frames still in the window.
         let mut batch = Vec::with_capacity(window.len());
         for rec in window {
-            if self.fault.fire(FaultSite::ReplShipDrop) {
-                let drop_ctx = self.p_trace.mint_span(self.seal_span_of(rec.seq));
-                self.p_trace.emit_with_ctx(TraceEvent::ReplFrameDrop { seq: rec.seq }, drop_ctx);
-                self.metrics.inc(Counter::ReplFrameDrops);
+            if self.primary.engine.obs.fire(FaultSite::ReplShipDrop) {
+                let drop_ctx = self.primary_trace().mint_span(self.seal_span_of(rec.seq));
+                self.primary
+                    .engine
+                    .obs
+                    .emit_with_ctx(TraceEvent::ReplFrameDrop { seq: rec.seq }, drop_ctx);
                 rep.dropped += 1;
                 continue;
             }
@@ -422,7 +414,7 @@ impl ReplHarness {
         }
         let mut i = 0;
         while i + 1 < batch.len() {
-            if self.fault.fire(FaultSite::ReplShipReorder) {
+            if self.primary.engine.obs.fire(FaultSite::ReplShipReorder) {
                 batch.swap(i, i + 1);
                 i += 2;
             } else {
@@ -434,19 +426,18 @@ impl ReplHarness {
         // by next round's retransmission.
         for rec in &batch {
             if rec.seq <= self.high_shipped {
-                self.metrics.inc(Counter::ReplRetransmits);
+                self.metrics_plane().inc(Counter::ReplRetransmits);
                 rep.retransmits += 1;
             }
             self.high_shipped = self.high_shipped.max(rec.seq);
             // The ship span is a child of the record's seal span and
             // rides every fragment of the frame in-band.
-            let ship_ctx = self.p_trace.mint_span(self.seal_span_of(rec.seq));
+            let ship_ctx = self.primary_trace().mint_span(self.seal_span_of(rec.seq));
             let frags = frame::fragment(rec, ship_ctx);
-            self.p_trace.emit_with_ctx(
+            self.primary.engine.obs.emit_with_ctx(
                 TraceEvent::ReplShip { seq: rec.seq, frags: frags.len() as u64 },
                 ship_ctx,
             );
-            self.metrics.inc(Counter::ReplShips);
             rep.shipped += 1;
             for f in frags {
                 self.clock.charge(WIRE_CYCLES);
@@ -460,7 +451,9 @@ impl ReplHarness {
                 }
             }
             for (r, ship) in completed {
-                if r.seq == self.applied + 1 && self.fault.fire(FaultSite::ReplReplicaCrash) {
+                if r.seq == self.applied + 1
+                    && self.primary.engine.obs.fire(FaultSite::ReplReplicaCrash)
+                {
                     self.crash_replica_mid_apply(&r, ship);
                     rep.death = NodeDeath::Replica;
                     continue;
@@ -469,19 +462,18 @@ impl ReplHarness {
                 // carried the frame — is in force on the replica for
                 // the whole apply, so the replica's own journal events
                 // chain off it.
-                let ingest_ctx = self.r_trace.mint_span(ship.span);
-                let prev = self.r_trace.set_ctx(ingest_ctx);
+                let ingest_ctx = self.replica_trace().mint_span(ship.span);
+                let prev = self.replica_trace().set_ctx(ingest_ctx);
                 let out = self.replica.fs.borrow_mut().ingest_replicated(&r);
-                self.r_trace.set_ctx(prev);
+                self.replica_trace().set_ctx(prev);
                 match out {
                     Ok(IngestOutcome::Applied { blocks }) => {
                         self.applied = self.applied.max(r.seq);
                         self.last_ingest_ctx = ingest_ctx;
-                        self.r_trace.emit_with_ctx(
+                        self.replica.engine.obs.emit_with_ctx(
                             TraceEvent::ReplApply { seq: r.seq, blocks },
                             ingest_ctx,
                         );
-                        self.metrics.inc(Counter::ReplApplies);
                         rep.applied += 1;
                     }
                     Ok(IngestOutcome::Duplicate | IngestOutcome::Gap { .. }) => {}
@@ -498,7 +490,7 @@ impl ReplHarness {
         // 4. Cumulative ack, one small frame on the return path. It
         // carries the replica's latest ingest context so the primary's
         // ReplAck span chains cross-kernel.
-        if self.applied > 0 && !self.fault.fire(FaultSite::ReplAckLoss) {
+        if self.applied > 0 && !self.primary.engine.obs.fire(FaultSite::ReplAckLoss) {
             let ack_ctx = self.last_ingest_ctx;
             self.clock.charge(WIRE_CYCLES);
             self.p_plane.rx(Packet::repl(
@@ -515,17 +507,19 @@ impl ReplHarness {
                         // records are gone from the primary's tail.
                         self.sync_shadow(acked);
                         self.acked = acked;
-                        let ack_span = self.p_trace.mint_span(ctx.span);
-                        self.p_trace.emit_with_ctx(TraceEvent::ReplAck { acked }, ack_span);
-                        self.metrics.inc(Counter::ReplAcks);
+                        let ack_span = self.primary_trace().mint_span(ctx.span);
+                        self.primary
+                            .engine
+                            .obs
+                            .emit_with_ctx(TraceEvent::ReplAck { acked }, ack_span);
                         self.primary.fs.borrow_mut().prune_committed(acked);
                     }
                 }
             }
         }
         if !self.primary_dead {
-            self.watch.observe_repl_lag(self.lag());
-            self.watch.observe_repl_lag_age(self.repl_lag_age());
+            self.watch_plane().observe_repl_lag(self.lag());
+            self.watch_plane().observe_repl_lag_age(self.repl_lag_age());
         }
         rep.acked = self.acked;
         rep.lag = self.lag();
@@ -576,22 +570,23 @@ impl ReplHarness {
             // No ship leg here — the drain reads the durable journal
             // directly, so the ingest span chains straight off the
             // record's seal span.
-            let ingest_ctx = self.r_trace.mint_span(self.seal_span_of(rec.seq));
-            let prev = self.r_trace.set_ctx(ingest_ctx);
+            let ingest_ctx = self.replica_trace().mint_span(self.seal_span_of(rec.seq));
+            let prev = self.replica_trace().set_ctx(ingest_ctx);
             let out = self
                 .replica
                 .fs
                 .borrow_mut()
                 .ingest_replicated(&rec)
                 .expect("the failover drain is fault-free");
-            self.r_trace.set_ctx(prev);
+            self.replica_trace().set_ctx(prev);
             match out {
                 IngestOutcome::Applied { blocks } => {
                     self.applied = self.applied.max(rec.seq);
                     self.last_ingest_ctx = ingest_ctx;
-                    self.r_trace
+                    self.replica
+                        .engine
+                        .obs
                         .emit_with_ctx(TraceEvent::ReplApply { seq: rec.seq, blocks }, ingest_ctx);
-                    self.metrics.inc(Counter::ReplApplies);
                 }
                 IngestOutcome::Duplicate => {}
                 IngestOutcome::Gap { expected } => {
@@ -610,9 +605,11 @@ impl ReplHarness {
             image,
         )
         .expect("a converged replica image must boot");
-        let promote_ctx = self.r_trace.mint_span(self.last_ingest_ctx.span);
-        self.r_trace.emit_with_ctx(TraceEvent::ReplPromote { seq: self.applied }, promote_ctx);
-        self.metrics.inc(Counter::ReplPromotions);
+        let promote_ctx = self.replica_trace().mint_span(self.last_ingest_ctx.span);
+        self.replica
+            .engine
+            .obs
+            .emit_with_ctx(TraceEvent::ReplPromote { seq: self.applied }, promote_ctx);
         promoted
     }
 
@@ -631,7 +628,7 @@ impl ReplHarness {
     /// inside one more local transaction.
     fn kill_primary(&mut self) {
         let site = self.cfg.crash_site;
-        self.fault.arm(site, self.fault.visits(site) + 1);
+        self.fault_plane().arm(site, self.fault_plane().visits(site) + 1);
         let res = self.primary.fs.borrow_mut().create(".crash-victim", 64);
         assert_eq!(res, Err(FsError::PowerFailure), "armed crash point must kill the primary");
         self.primary_dead = true;
@@ -644,11 +641,11 @@ impl ReplHarness {
     /// mount-time recovery.
     fn crash_replica_mid_apply(&mut self, rec: &JournalRecord, ship: CauseCtx) {
         let site = self.cfg.crash_site;
-        self.fault.arm(site, self.fault.visits(site) + 1);
-        let ingest_ctx = self.r_trace.mint_span(ship.span);
-        let prev = self.r_trace.set_ctx(ingest_ctx);
+        self.fault_plane().arm(site, self.fault_plane().visits(site) + 1);
+        let ingest_ctx = self.replica_trace().mint_span(ship.span);
+        let prev = self.replica_trace().set_ctx(ingest_ctx);
         let res = self.replica.fs.borrow_mut().ingest_replicated(rec);
-        self.r_trace.set_ctx(prev);
+        self.replica_trace().set_ctx(prev);
         assert_eq!(res, Err(FsError::PowerFailure), "armed crash point must kill the replica");
         self.reboot_replica();
     }
@@ -663,9 +660,9 @@ impl ReplHarness {
             image,
         )
         .expect("a replica crash image must remount");
-        k.attach_fault_plane(Rc::clone(&self.fault)).expect("fresh kernel");
-        k.attach_trace_plane(Rc::clone(&self.r_trace)).expect("fresh kernel");
-        k.attach_metrics_plane(Rc::clone(&self.metrics)).expect("fresh kernel");
+        k.attach_fault_plane(Rc::clone(self.fault_plane())).expect("fresh kernel");
+        k.attach_trace_plane(Rc::clone(self.replica_trace())).expect("fresh kernel");
+        k.attach_metrics_plane(Rc::clone(self.metrics_plane())).expect("fresh kernel");
         let report = k.recovery_report().expect("mounted from an image");
         if report.replayed_txns > 0 {
             // The torn record committed before the crash; recovery

@@ -18,12 +18,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 
-use vino_sim::fault::{FaultPlane, FaultSite};
-use vino_sim::metrics::{Counter, MetricsPlane};
-use vino_sim::profile::{ProfilePlane, SpanKind};
-use vino_sim::trace::{TraceEvent, TracePlane};
+use vino_sim::fault::FaultSite;
+use vino_sim::obs::Obs;
+use vino_sim::profile::SpanKind;
+use vino_sim::trace::TraceEvent;
 use vino_sim::Cycles;
 
 /// The kinds of quantity-constrained resources the kernel accounts.
@@ -202,10 +201,7 @@ pub struct AccountantState {
 pub struct ResourceAccountant {
     accounts: HashMap<PrincipalId, Account>,
     next: u64,
-    fault: Option<Rc<FaultPlane>>,
-    trace: Option<Rc<TracePlane>>,
-    metrics: Option<Rc<MetricsPlane>>,
-    profile: Option<Rc<ProfilePlane>>,
+    obs: Obs,
 }
 
 impl ResourceAccountant {
@@ -214,47 +210,19 @@ impl ResourceAccountant {
         ResourceAccountant::default()
     }
 
-    /// Attaches a fault plane: each [`charge`](Self::charge) visits
-    /// [`FaultSite::ResourceExhaust`]; when it fires the charge is
-    /// denied as over-limit even though the payer has headroom —
-    /// simulating transient kernel-wide exhaustion (§3.2: "when the
-    /// process would normally be denied requests [...] the graft's
-    /// requests also fail").
-    pub fn set_fault_plane(&mut self, plane: Rc<FaultPlane>) {
-        self.fault = Some(plane);
+    /// An empty accountant observed through `obs`. Each
+    /// [`charge`](Self::charge) visits [`FaultSite::ResourceExhaust`],
+    /// which denies it as over-limit despite headroom (§3.2's transient
+    /// exhaustion). Grants, releases and denials emit `rm.*` events; a
+    /// grant also raises the per-kind high-water gauge and is a
+    /// zero-length `rm-grant` profile mark.
+    pub fn with_obs(obs: Obs) -> ResourceAccountant {
+        ResourceAccountant { obs, ..ResourceAccountant::default() }
     }
 
-    /// Wires a trace plane: grants, releases and limit denials emit
-    /// `rm.*` events (see `docs/TRACING.md`).
-    pub fn set_trace_plane(&mut self, plane: Rc<TracePlane>) {
-        self.trace = Some(plane);
-    }
-
-    /// Wires a metrics plane: grants, denials and releases bump their
-    /// counters, and each grant raises the per-kind high-water gauge
-    /// (see `docs/METRICS.md`).
-    pub fn set_metrics_plane(&mut self, plane: Rc<MetricsPlane>) {
-        self.metrics = Some(plane);
-    }
-
-    /// Wires a profile plane: each grant is recorded as an
-    /// instantaneous `rm-grant` mark in the invocation span tree
-    /// (grants are pure bookkeeping and charge no cycles, so the span
-    /// has zero duration — see `docs/PROFILING.md`).
-    pub fn set_profile_plane(&mut self, plane: Rc<ProfilePlane>) {
-        self.profile = Some(plane);
-    }
-
-    fn emit(&self, ev: TraceEvent) {
-        if let Some(tp) = &self.trace {
-            tp.emit(ev);
-        }
-    }
-
-    fn minc(&self, c: Counter) {
-        if let Some(mp) = &self.metrics {
-            mp.inc(c);
-        }
+    /// The observation handle the accountant reports through.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Snapshots the full book for a checkpoint.
@@ -359,11 +327,10 @@ impl ResourceAccountant {
         amount: u64,
     ) -> Result<(), ResourceError> {
         let payer = self.payer_of(principal);
-        if self.fault.as_ref().is_some_and(|p| p.fire(FaultSite::ResourceExhaust)) {
+        if self.obs.fire(FaultSite::ResourceExhaust) {
             // Injected denial: indistinguishable from a genuine limit
             // hit, and like one it has no partial effect.
-            self.minc(Counter::RmDenials);
-            self.emit(TraceEvent::ResLimitHit {
+            self.obs.emit(TraceEvent::ResLimitHit {
                 principal: payer.0,
                 kind: kind.index(),
                 requested: amount,
@@ -380,8 +347,7 @@ impl ResourceAccountant {
         let limit = acc.limits.get(kind);
         let available = limit.saturating_sub(used);
         if amount > available {
-            self.minc(Counter::RmDenials);
-            self.emit(TraceEvent::ResLimitHit {
+            self.obs.emit(TraceEvent::ResLimitHit {
                 principal: payer.0,
                 kind: kind.index(),
                 requested: amount,
@@ -399,14 +365,11 @@ impl ResourceAccountant {
             acc.peak.set(kind, new_peak);
         }
         let now_used = acc.used.get(kind);
-        if let Some(mp) = &self.metrics {
-            mp.inc(Counter::RmGrants);
+        if let Some(mp) = self.obs.metrics() {
             mp.observe_rm_peak(kind.index(), now_used);
         }
-        if let Some(pp) = &self.profile {
-            pp.mark(SpanKind::RmGrant, Cycles::ZERO);
-        }
-        self.emit(TraceEvent::ResGrant { principal: payer.0, kind: kind.index(), amount });
+        self.obs.mark(SpanKind::RmGrant, Cycles::ZERO);
+        self.obs.emit(TraceEvent::ResGrant { principal: payer.0, kind: kind.index(), amount });
         Ok(())
     }
 
@@ -418,8 +381,11 @@ impl ResourceAccountant {
         if let Some(acc) = self.accounts.get_mut(&payer) {
             let used = acc.used.get(kind);
             acc.used.set(kind, used.saturating_sub(amount));
-            self.minc(Counter::RmReleases);
-            self.emit(TraceEvent::ResRelease { principal: payer.0, kind: kind.index(), amount });
+            self.obs.emit(TraceEvent::ResRelease {
+                principal: payer.0,
+                kind: kind.index(),
+                amount,
+            });
         }
     }
 
@@ -525,6 +491,8 @@ impl ResourceAccountant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
+    use vino_sim::fault::FaultPlane;
 
     use ResourceKind::{Memory, WiredPages};
 
@@ -670,7 +638,7 @@ mod tests {
         let app = ra.create_principal(Limits::of(&[(Memory, 1000)]));
         let plane = FaultPlane::seeded(0);
         plane.arm(FaultSite::ResourceExhaust, 1);
-        ra.set_fault_plane(plane);
+        ra.obs().attach_fault(plane).unwrap();
         let err = ra.charge(app, Memory, 10).unwrap_err();
         assert!(matches!(err, ResourceError::LimitExceeded { available: 0, .. }));
         assert_eq!(ra.used(app, Memory), 0, "denied charge has no partial effect");
@@ -725,7 +693,7 @@ mod tests {
         use vino_sim::VirtualClock;
         let mut ra = ResourceAccountant::new();
         let plane = TracePlane::new(VirtualClock::new());
-        ra.set_trace_plane(Rc::clone(&plane));
+        ra.obs().attach_trace(Rc::clone(&plane)).unwrap();
         let app = ra.create_principal(Limits::of(&[(Memory, 100)]));
         ra.charge(app, Memory, 60).unwrap();
         ra.release(app, Memory, 10);

@@ -29,8 +29,10 @@ use std::rc::Rc;
 use crate::clock::Cycles;
 use crate::rng::SplitMix64;
 
-/// A named injection point threaded through the stack.
+/// A named injection point threaded through the stack. The plane keeps
+/// one slot per site, indexed by its discriminant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(usize)]
 pub enum FaultSite {
     /// A disk read fails with a media error (`vino-dev::disk`).
     DiskRead,
@@ -123,32 +125,7 @@ pub const ALL_SITES: &[FaultSite] = &[
     FaultSite::ReplReplicaCrash,
 ];
 
-const N_SITES: usize = 20;
-
-fn idx(site: FaultSite) -> usize {
-    match site {
-        FaultSite::DiskRead => 0,
-        FaultSite::DiskWrite => 1,
-        FaultSite::DiskStall => 2,
-        FaultSite::VmTrap => 3,
-        FaultSite::LockTimeoutStorm => 4,
-        FaultSite::ResourceExhaust => 5,
-        FaultSite::ImageCorrupt => 6,
-        FaultSite::NetRxOverflow => 7,
-        FaultSite::NetFilterTrap => 8,
-        FaultSite::NetSteerLoop => 9,
-        FaultSite::KernelCrashBeforeJournal => 10,
-        FaultSite::KernelCrashMidJournal => 11,
-        FaultSite::KernelCrashAfterCommit => 12,
-        FaultSite::KernelCrashMidCheckpoint => 13,
-        FaultSite::DiskTornWrite => 14,
-        FaultSite::ReplShipDrop => 15,
-        FaultSite::ReplShipReorder => 16,
-        FaultSite::ReplAckLoss => 17,
-        FaultSite::ReplPrimaryCrash => 18,
-        FaultSite::ReplReplicaCrash => 19,
-    }
-}
+const N_SITES: usize = ALL_SITES.len();
 
 /// The crash-point family, in commit-pipeline order. Iterated by the
 /// recovery battery to cover every power-cut position.
@@ -260,7 +237,8 @@ impl FaultPlane {
     /// Panics if `den == 0` or `num > den`.
     pub fn set_rate(&self, site: FaultSite, num: u64, den: u64) {
         assert!(den > 0 && num <= den, "rate must be a probability: {num}/{den}");
-        self.sites.borrow_mut()[idx(site)].rate = if num == 0 { None } else { Some((num, den)) };
+        self.sites.borrow_mut()[site as usize].rate =
+            if num == 0 { None } else { Some((num, den)) };
     }
 
     /// Arms a one-shot: the `nth` visit to `site` (1-based, counted
@@ -268,7 +246,7 @@ impl FaultPlane {
     /// is a no-op. Multiple one-shots may be armed on one site.
     pub fn arm(&self, site: FaultSite, nth: u64) {
         let mut sites = self.sites.borrow_mut();
-        let st = &mut sites[idx(site)];
+        let st = &mut sites[site as usize];
         if nth > st.visits && !st.armed.contains(&nth) {
             st.armed.push(nth);
             st.armed.sort_unstable();
@@ -287,7 +265,7 @@ impl FaultPlane {
     /// over.
     pub fn fire(&self, site: FaultSite) -> bool {
         let mut sites = self.sites.borrow_mut();
-        let st = &mut sites[idx(site)];
+        let st = &mut sites[site as usize];
         st.visits += 1;
         let visit = st.visits;
         let mut hit = false;
@@ -320,7 +298,7 @@ impl FaultPlane {
     /// before the next armed one-shot (`u64::MAX` when none is armed).
     pub fn quiet_visits(&self, site: FaultSite) -> u64 {
         let sites = self.sites.borrow();
-        quiet(&sites[idx(site)])
+        quiet(&sites[site as usize])
     }
 
     /// Records `n` visits to `site` in bulk if none of them can fire
@@ -329,7 +307,7 @@ impl FaultPlane {
     /// answering `false` would; a `false` records nothing.
     pub fn record_quiet_visits(&self, site: FaultSite, n: u64) -> bool {
         let mut sites = self.sites.borrow_mut();
-        let st = &mut sites[idx(site)];
+        let st = &mut sites[site as usize];
         if n > quiet(st) {
             return false;
         }
@@ -341,7 +319,7 @@ impl FaultPlane {
     /// [`record_quiet_visits`](Self::record_quiet_visits) that the
     /// caller did not reach after all (a run cut short by a trap).
     pub fn return_quiet_visits(&self, site: FaultSite, n: u64) {
-        self.sites.borrow_mut()[idx(site)].visits -= n;
+        self.sites.borrow_mut()[site as usize].visits -= n;
     }
 
     /// Caps the plane-wide injection count: the first `cap` would-be
@@ -413,12 +391,12 @@ impl FaultPlane {
 
     /// Visits recorded at `site` so far.
     pub fn visits(&self, site: FaultSite) -> u64 {
-        self.sites.borrow()[idx(site)].visits
+        self.sites.borrow()[site as usize].visits
     }
 
     /// Faults injected at `site` so far.
     pub fn injected(&self, site: FaultSite) -> u64 {
-        self.sites.borrow()[idx(site)].fired
+        self.sites.borrow()[site as usize].fired
     }
 
     /// Faults injected across all sites.
@@ -438,6 +416,14 @@ impl FaultPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_sites_lists_every_slot_in_discriminant_order() {
+        for (i, site) in ALL_SITES.iter().enumerate() {
+            assert_eq!(*site as usize, i, "{site:?}");
+        }
+        assert_eq!(FaultSite::ReplReplicaCrash as usize + 1, N_SITES, "last variant");
+    }
 
     #[test]
     fn inert_plane_never_fires() {

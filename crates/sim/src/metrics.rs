@@ -22,9 +22,11 @@
 //! - **Deterministic.** Everything is driven by the virtual clock and
 //!   integer arithmetic, so two same-seed runs produce byte-identical
 //!   snapshots (`tests/metrics_golden.rs`, `tests/survival.rs`).
-//! - **Attach-once.** `Kernel::attach_metrics_plane` wires one shared
-//!   handle through VM, transaction manager, resource manager, file
-//!   system and the graft engine; a second attach is refused.
+//! - **Attach-once.** `Kernel::attach_metrics_plane` fills the metrics
+//!   slot of the kernel's shared [`crate::obs::Obs`] handle, which every
+//!   subsystem holds; a second attach is refused.
+//! - **Derived counters.** Counters with a trace event are bumped only
+//!   by [`MetricsPlane::observe`], from the event itself.
 //!
 //! Recording a metric never charges the clock: attaching a metrics
 //! plane is observation, not perturbation — timings and goldens are
@@ -35,7 +37,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::clock::{Cycles, VirtualClock};
-use crate::plane::CellCounters;
+use crate::plane::{Brackets, CellCounters};
+use crate::trace::{ShedKind, TraceEvent, VerdictKind};
 
 /// Interned graft-name handle, the metrics twin of
 /// [`crate::trace::GraftTag`]. Interning happens at install time (the
@@ -44,280 +47,154 @@ use crate::plane::CellCounters;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MetricTag(pub u16);
 
-/// Maximum concurrently bracketed invocations (graft-to-graft nesting).
-/// The engine bounds nesting well below this (`MAX_NEST_DEPTH`).
-const MAX_NEST: usize = 16;
-
 // ---------------------------------------------------------------------------
 // Counters.
 // ---------------------------------------------------------------------------
 
-/// Fixed-slot event counters, one per instrumented site.
-///
-/// Each variant mirrors exactly one trace-plane emit site, so for a run
-/// with both planes attached the per-subsystem [`crate::trace::TraceStats`]
-/// totals reconcile with sums of these counters (asserted by the
-/// survival battery). Extra measurement-only counters
-/// ([`Counter::VmInstrs`], [`Counter::MutexAcquires`]) sit outside the
-/// reconciliation sums.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    /// Interpreter windows run (mirrors `vm.window`).
-    VmWindows,
-    /// Instructions retired (measurement-only; no trace twin).
-    VmInstrs,
-    /// MiSFIT `Clamp` sandbox ops (mirrors `vm.sfi kind=clamp`).
-    SfiClamps,
-    /// MiSFIT `CheckCall` probes (mirrors `vm.sfi kind=checkcall`).
-    SfiCallchecks,
-    /// Transactions begun (mirrors `txn.begin`).
-    TxnBegins,
-    /// Top-level commits (mirrors `txn.commit nested=false`).
-    TxnCommits,
-    /// Nested commits (mirrors `txn.commit nested=true`).
-    TxnNestedCommits,
-    /// Aborts (mirrors `txn.abort`).
-    TxnAborts,
-    /// Transaction locks granted (mirrors `txn.lock`).
-    TxnLockAcquires,
-    /// Plain mutex acquires outside a transaction (measurement-only).
-    MutexAcquires,
-    /// Contended acquires that blocked (mirrors `txn.blocked`).
-    LockWaits,
-    /// Fired time-outs that aborted a holder (mirrors `txn.timeout`).
-    LockTimeouts,
-    /// Stolen transactions observed by their wrapper (mirrors `txn.steal`).
-    LockSteals,
-    /// Undo records logged (mirrors `txn.undo-push`).
-    UndoPushes,
-    /// Undo stacks executed on abort (mirrors `txn.undo-run`).
-    UndoRuns,
-    /// Resource charges granted (mirrors `rm.grant`).
-    RmGrants,
-    /// Resource charges denied (mirrors `rm.limit-hit`).
-    RmDenials,
-    /// Resource releases (mirrors `rm.release`).
-    RmReleases,
-    /// File reads (mirrors `fs.read`).
-    FsReads,
-    /// File writes (mirrors `fs.write`).
-    FsWrites,
-    /// Prefetches issued (mirrors `fs.prefetch`).
-    FsPrefetches,
-    /// Journal transactions appended (mirrors `fs.journal_append`).
-    FsJournalAppends,
-    /// Journal commit markers made durable (mirrors `fs.journal_commit`).
-    FsJournalCommits,
-    /// Committed transactions checkpointed home (mirrors `fs.checkpoint`).
-    FsCheckpoints,
-    /// Committed transactions rolled forward at mount (mirrors
-    /// `fs.recovery_replay`).
-    FsRecoveryReplays,
-    /// Torn journal tails discarded at mount (mirrors
-    /// `fs.recovery_discard`).
-    FsRecoveryDiscards,
-    /// Graft installs (mirrors `graft.install`).
-    GraftInstalls,
-    /// Graft invocations begun (mirrors `graft.invoke`).
-    GraftInvocations,
-    /// Invocations that committed (mirrors `graft.commit`).
-    GraftCommits,
-    /// Invocations that aborted (mirrors `graft.abort`).
-    GraftAborts,
-    /// Dead-graft invocations refused to the default path (mirrors
-    /// `graft.fallback`).
-    GraftFallbacks,
-    /// Quarantine trips (mirrors `graft.quarantine`).
-    GraftQuarantines,
-    /// Installs waved through by the admission controller (mirrors
-    /// `watch.admit`; only counted while a watch plane is attached).
-    AdmissionAllows,
-    /// Installs refused by the admission controller (mirrors
-    /// `watch.deny`; only counted while a watch plane is attached).
-    AdmissionDenies,
-    /// Packets admitted to an RX ring (mirrors `net.rx`).
-    NetRxPackets,
-    /// Admissions refused at capacity (mirrors `net.shed kind=overflow`).
-    NetRxOverflows,
-    /// Admissions shed above the high watermark (mirrors
-    /// `net.shed kind=watermark`).
-    NetRxSheds,
-    /// Accept verdicts (mirrors `net.verdict v=accept`).
-    NetAccepts,
-    /// Drop verdicts (mirrors `net.verdict v=drop`).
-    NetDrops,
-    /// Steer verdicts (mirrors `net.verdict v=steer`).
-    NetSteers,
-    /// Steer hops performed (mirrors `net.steer`).
-    NetSteerHops,
-    /// Packets dropped by the steer-hop budget (mirrors `net.loop-cut`).
-    NetLoopCuts,
-    /// Batched filter dispatches (mirrors `net.batch`).
-    NetBatchDispatches,
-    /// NIC events delivered to a poller (measurement-only; no trace twin).
-    NicDelivered,
-    /// NIC events dropped at the device queue (measurement-only).
-    NicDropped,
-    /// Disk blocks read (measurement-only; mirrors `DiskStats::reads`).
-    DiskReads,
-    /// Disk blocks written (measurement-only; mirrors
-    /// `DiskStats::writes`).
-    DiskWrites,
-    /// Disk head seeks (measurement-only; mirrors `DiskStats::seeks`).
-    DiskSeeks,
-    /// Injected disk stalls (measurement-only; mirrors
-    /// `DiskStats::stalls`).
-    DiskStalls,
-    /// Injected transient media errors (measurement-only; mirrors
-    /// `DiskStats::io_errors`).
-    DiskIoErrors,
-    /// Injected torn writes that persisted only a block prefix
-    /// (measurement-only; mirrors `DiskStats::torn_writes`).
-    DiskTornWrites,
-    /// Committed journal records the primary shipped to the replica
-    /// (`vino-repl`).
-    ReplShips,
-    /// Cumulative acks the primary consumed (`vino-repl`).
-    ReplAcks,
-    /// Shipped records the replica applied through its own journal
-    /// (`vino-repl`).
-    ReplApplies,
-    /// Frames lost, reordered out of reach, or failing their seal
-    /// check (`vino-repl`).
-    ReplFrameDrops,
-    /// Records the shipping window retransmitted (`vino-repl`).
-    ReplRetransmits,
-    /// Replica promotions to primary after primary death (`vino-repl`).
-    ReplPromotions,
-}
-
-impl Counter {
-    /// Number of counter slots.
-    pub const COUNT: usize = 57;
-
-    /// Every counter, in canonical exposition order.
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::VmWindows,
-        Counter::VmInstrs,
-        Counter::SfiClamps,
-        Counter::SfiCallchecks,
-        Counter::TxnBegins,
-        Counter::TxnCommits,
-        Counter::TxnNestedCommits,
-        Counter::TxnAborts,
-        Counter::TxnLockAcquires,
-        Counter::MutexAcquires,
-        Counter::LockWaits,
-        Counter::LockTimeouts,
-        Counter::LockSteals,
-        Counter::UndoPushes,
-        Counter::UndoRuns,
-        Counter::RmGrants,
-        Counter::RmDenials,
-        Counter::RmReleases,
-        Counter::FsReads,
-        Counter::FsWrites,
-        Counter::FsPrefetches,
-        Counter::FsJournalAppends,
-        Counter::FsJournalCommits,
-        Counter::FsCheckpoints,
-        Counter::FsRecoveryReplays,
-        Counter::FsRecoveryDiscards,
-        Counter::GraftInstalls,
-        Counter::GraftInvocations,
-        Counter::GraftCommits,
-        Counter::GraftAborts,
-        Counter::GraftFallbacks,
-        Counter::GraftQuarantines,
-        Counter::AdmissionAllows,
-        Counter::AdmissionDenies,
-        Counter::NetRxPackets,
-        Counter::NetRxOverflows,
-        Counter::NetRxSheds,
-        Counter::NetAccepts,
-        Counter::NetDrops,
-        Counter::NetSteers,
-        Counter::NetSteerHops,
-        Counter::NetLoopCuts,
-        Counter::NetBatchDispatches,
-        Counter::NicDelivered,
-        Counter::NicDropped,
-        Counter::DiskReads,
-        Counter::DiskWrites,
-        Counter::DiskSeeks,
-        Counter::DiskStalls,
-        Counter::DiskIoErrors,
-        Counter::DiskTornWrites,
-        Counter::ReplShips,
-        Counter::ReplAcks,
-        Counter::ReplApplies,
-        Counter::ReplFrameDrops,
-        Counter::ReplRetransmits,
-        Counter::ReplPromotions,
-    ];
-
-    /// The Prometheus series name (always a monotone counter).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::VmWindows => "vino_vm_windows_total",
-            Counter::VmInstrs => "vino_vm_instructions_total",
-            Counter::SfiClamps => "vino_vm_sfi_clamps_total",
-            Counter::SfiCallchecks => "vino_vm_sfi_callchecks_total",
-            Counter::TxnBegins => "vino_txn_begins_total",
-            Counter::TxnCommits => "vino_txn_commits_total",
-            Counter::TxnNestedCommits => "vino_txn_nested_commits_total",
-            Counter::TxnAborts => "vino_txn_aborts_total",
-            Counter::TxnLockAcquires => "vino_txn_lock_acquires_total",
-            Counter::MutexAcquires => "vino_txn_mutex_acquires_total",
-            Counter::LockWaits => "vino_txn_lock_waits_total",
-            Counter::LockTimeouts => "vino_txn_lock_timeouts_total",
-            Counter::LockSteals => "vino_txn_lock_steals_total",
-            Counter::UndoPushes => "vino_txn_undo_pushes_total",
-            Counter::UndoRuns => "vino_txn_undo_runs_total",
-            Counter::RmGrants => "vino_rm_grants_total",
-            Counter::RmDenials => "vino_rm_denials_total",
-            Counter::RmReleases => "vino_rm_releases_total",
-            Counter::FsReads => "vino_fs_reads_total",
-            Counter::FsWrites => "vino_fs_writes_total",
-            Counter::FsPrefetches => "vino_fs_prefetches_total",
-            Counter::FsJournalAppends => "vino_fs_journal_appends_total",
-            Counter::FsJournalCommits => "vino_fs_journal_commits_total",
-            Counter::FsCheckpoints => "vino_fs_checkpoints_total",
-            Counter::FsRecoveryReplays => "vino_fs_recovery_replays_total",
-            Counter::FsRecoveryDiscards => "vino_fs_recovery_discards_total",
-            Counter::GraftInstalls => "vino_graft_installs_total",
-            Counter::GraftInvocations => "vino_graft_invocations_total",
-            Counter::GraftCommits => "vino_graft_commits_total",
-            Counter::GraftAborts => "vino_graft_aborts_total",
-            Counter::GraftFallbacks => "vino_graft_fallbacks_total",
-            Counter::GraftQuarantines => "vino_graft_quarantines_total",
-            Counter::AdmissionAllows => "vino_admission_allows_total",
-            Counter::AdmissionDenies => "vino_admission_denies_total",
-            Counter::NetRxPackets => "vino_net_rx_packets_total",
-            Counter::NetRxOverflows => "vino_net_rx_overflows_total",
-            Counter::NetRxSheds => "vino_net_rx_sheds_total",
-            Counter::NetAccepts => "vino_net_filter_accepts_total",
-            Counter::NetDrops => "vino_net_filter_drops_total",
-            Counter::NetSteers => "vino_net_filter_steers_total",
-            Counter::NetSteerHops => "vino_net_steer_hops_total",
-            Counter::NetLoopCuts => "vino_net_loop_cuts_total",
-            Counter::NetBatchDispatches => "vino_net_batches_total",
-            Counter::NicDelivered => "vino_nic_events_delivered_total",
-            Counter::NicDropped => "vino_nic_events_dropped_total",
-            Counter::DiskReads => "vino_disk_reads_total",
-            Counter::DiskWrites => "vino_disk_writes_total",
-            Counter::DiskSeeks => "vino_disk_seeks_total",
-            Counter::DiskStalls => "vino_disk_stalls_total",
-            Counter::DiskIoErrors => "vino_disk_io_errors_total",
-            Counter::DiskTornWrites => "vino_disk_torn_writes_total",
-            Counter::ReplShips => "vino_repl_ships_total",
-            Counter::ReplAcks => "vino_repl_acks_total",
-            Counter::ReplApplies => "vino_repl_applies_total",
-            Counter::ReplFrameDrops => "vino_repl_frame_drops_total",
-            Counter::ReplRetransmits => "vino_repl_retransmits_total",
-            Counter::ReplPromotions => "vino_repl_promotions_total",
-        }
+named_enum! {
+    /// Fixed-slot event counters, one per instrumented site.
+    ///
+    /// A counter with a trace event is derived from it in one place,
+    /// [`MetricsPlane::observe`] (called by [`crate::obs::Planes::emit`]), so
+    /// counters and trace agree by construction. Two groups have no
+    /// derived twin:
+    ///
+    /// - **Bulk-billed by the VM** once per straight-line run:
+    ///   [`Counter::VmWindows`], [`Counter::SfiClamps`] and
+    ///   [`Counter::SfiCallchecks`] (their `vm.window` / `vm.sfi` events
+    ///   map to no counter, keeping a bump off every SFI check).
+    /// - **Measurement-only**, with no event at all:
+    ///   [`Counter::VmInstrs`], [`Counter::MutexAcquires`], the `Nic*` and
+    ///   `Disk*` device counters and [`Counter::ReplRetransmits`].
+    pub enum Counter, fn name {
+        /// Interpreter windows run (billed per window beside `vm.window`).
+        VmWindows => "vino_vm_windows_total",
+        /// Instructions retired (measurement-only; no trace twin).
+        VmInstrs => "vino_vm_instructions_total",
+        /// MiSFIT `Clamp` sandbox ops (billed per run beside `vm.sfi kind=clamp`).
+        SfiClamps => "vino_vm_sfi_clamps_total",
+        /// MiSFIT `CheckCall` probes (billed per run beside
+        /// `vm.sfi kind=checkcall`).
+        SfiCallchecks => "vino_vm_sfi_callchecks_total",
+        /// Transactions begun (from `txn.begin`).
+        TxnBegins => "vino_txn_begins_total",
+        /// Top-level commits (from `txn.commit nested=false`).
+        TxnCommits => "vino_txn_commits_total",
+        /// Nested commits (from `txn.commit nested=true`).
+        TxnNestedCommits => "vino_txn_nested_commits_total",
+        /// Aborts (from `txn.abort`).
+        TxnAborts => "vino_txn_aborts_total",
+        /// Transaction locks granted (from `txn.lock`).
+        TxnLockAcquires => "vino_txn_lock_acquires_total",
+        /// Plain mutex acquires outside a transaction (measurement-only).
+        MutexAcquires => "vino_txn_mutex_acquires_total",
+        /// Contended acquires that blocked (from `txn.blocked`).
+        LockWaits => "vino_txn_lock_waits_total",
+        /// Fired time-outs that aborted a holder (from `txn.timeout`).
+        LockTimeouts => "vino_txn_lock_timeouts_total",
+        /// Stolen transactions observed by their wrapper (from `txn.steal`).
+        LockSteals => "vino_txn_lock_steals_total",
+        /// Undo records logged (from `txn.undo-push`).
+        UndoPushes => "vino_txn_undo_pushes_total",
+        /// Undo stacks executed on abort (from `txn.undo-run`).
+        UndoRuns => "vino_txn_undo_runs_total",
+        /// Resource charges granted (from `rm.grant`).
+        RmGrants => "vino_rm_grants_total",
+        /// Resource charges denied (from `rm.limit-hit`).
+        RmDenials => "vino_rm_denials_total",
+        /// Resource releases (from `rm.release`).
+        RmReleases => "vino_rm_releases_total",
+        /// File reads (from `fs.read`).
+        FsReads => "vino_fs_reads_total",
+        /// File writes (from `fs.write`).
+        FsWrites => "vino_fs_writes_total",
+        /// Prefetches issued (from `fs.prefetch`).
+        FsPrefetches => "vino_fs_prefetches_total",
+        /// Journal transactions appended (from `fs.journal_append`).
+        FsJournalAppends => "vino_fs_journal_appends_total",
+        /// Journal commit markers made durable (from `fs.journal_commit`).
+        FsJournalCommits => "vino_fs_journal_commits_total",
+        /// Committed transactions checkpointed home (from `fs.checkpoint`).
+        FsCheckpoints => "vino_fs_checkpoints_total",
+        /// Committed transactions rolled forward at mount (from
+        /// `fs.recovery_replay`).
+        FsRecoveryReplays => "vino_fs_recovery_replays_total",
+        /// Torn journal tails discarded at mount (from
+        /// `fs.recovery_discard`).
+        FsRecoveryDiscards => "vino_fs_recovery_discards_total",
+        /// Graft installs (from `graft.install`).
+        GraftInstalls => "vino_graft_installs_total",
+        /// Graft invocations begun (from `graft.invoke`).
+        GraftInvocations => "vino_graft_invocations_total",
+        /// Invocations that committed (from `graft.commit`).
+        GraftCommits => "vino_graft_commits_total",
+        /// Invocations that aborted (from `graft.abort`).
+        GraftAborts => "vino_graft_aborts_total",
+        /// Dead-graft invocations refused to the default path (from
+        /// `graft.fallback`).
+        GraftFallbacks => "vino_graft_fallbacks_total",
+        /// Quarantine trips (from `graft.quarantine`).
+        GraftQuarantines => "vino_graft_quarantines_total",
+        /// Installs waved through by the admission controller (from
+        /// `watch.admit`; only counted while a watch plane is attached).
+        AdmissionAllows => "vino_admission_allows_total",
+        /// Installs refused by the admission controller (from
+        /// `watch.deny`; only counted while a watch plane is attached).
+        AdmissionDenies => "vino_admission_denies_total",
+        /// Packets admitted to an RX ring (from `net.rx`).
+        NetRxPackets => "vino_net_rx_packets_total",
+        /// Admissions refused at capacity (from `net.shed kind=overflow`).
+        NetRxOverflows => "vino_net_rx_overflows_total",
+        /// Admissions shed above the high watermark (from
+        /// `net.shed kind=watermark`).
+        NetRxSheds => "vino_net_rx_sheds_total",
+        /// Accept verdicts (from `net.verdict v=accept`).
+        NetAccepts => "vino_net_filter_accepts_total",
+        /// Drop verdicts (from `net.verdict v=drop`).
+        NetDrops => "vino_net_filter_drops_total",
+        /// Steer verdicts (from `net.verdict v=steer`).
+        NetSteers => "vino_net_filter_steers_total",
+        /// Steer hops performed (from `net.steer`).
+        NetSteerHops => "vino_net_steer_hops_total",
+        /// Packets dropped by the steer-hop budget (from `net.loop-cut`).
+        NetLoopCuts => "vino_net_loop_cuts_total",
+        /// Batched filter dispatches (from `net.batch`).
+        NetBatchDispatches => "vino_net_batches_total",
+        /// NIC events delivered to a poller (measurement-only; no trace twin).
+        NicDelivered => "vino_nic_events_delivered_total",
+        /// NIC events dropped at the device queue (measurement-only).
+        NicDropped => "vino_nic_events_dropped_total",
+        /// Disk blocks read (measurement-only; mirrors `DiskStats::reads`).
+        DiskReads => "vino_disk_reads_total",
+        /// Disk blocks written (measurement-only; mirrors
+        /// `DiskStats::writes`).
+        DiskWrites => "vino_disk_writes_total",
+        /// Disk head seeks (measurement-only; mirrors `DiskStats::seeks`).
+        DiskSeeks => "vino_disk_seeks_total",
+        /// Injected disk stalls (measurement-only; mirrors
+        /// `DiskStats::stalls`).
+        DiskStalls => "vino_disk_stalls_total",
+        /// Injected transient media errors (measurement-only; mirrors
+        /// `DiskStats::io_errors`).
+        DiskIoErrors => "vino_disk_io_errors_total",
+        /// Injected torn writes that persisted only a block prefix
+        /// (measurement-only; mirrors `DiskStats::torn_writes`).
+        DiskTornWrites => "vino_disk_torn_writes_total",
+        /// Committed journal records the primary shipped to the replica
+        /// (`vino-repl`).
+        ReplShips => "vino_repl_ships_total",
+        /// Cumulative acks the primary consumed (`vino-repl`).
+        ReplAcks => "vino_repl_acks_total",
+        /// Shipped records the replica applied through its own journal
+        /// (`vino-repl`).
+        ReplApplies => "vino_repl_applies_total",
+        /// Frames lost, reordered out of reach, or failing their seal
+        /// check (`vino-repl`).
+        ReplFrameDrops => "vino_repl_frame_drops_total",
+        /// Records the shipping window retransmitted (`vino-repl`).
+        ReplRetransmits => "vino_repl_retransmits_total",
+        /// Replica promotions to primary after primary death (`vino-repl`).
+        ReplPromotions => "vino_repl_promotions_total",
     }
 }
 
@@ -325,72 +202,39 @@ impl Counter {
 // Overhead-attribution components.
 // ---------------------------------------------------------------------------
 
-/// The paper's named overhead components (Table 3's rows), the axes of
-/// the per-graft attribution ledger.
-///
-/// Each subsystem attributes its own `vino_sim::costs` charges exactly
-/// once: the VM attributes per-instruction charges ([`Component::Sfi`]
-/// for sandbox ops, [`Component::GraftFn`] for everything else), the
-/// transaction manager attributes the envelope (begin/commit, locks,
-/// undo, abort), and the dispatch site attributes
-/// [`Component::Indirection`]. Host-call costs inside a VM window (e.g.
-/// a transaction lock acquired through `$lock`) are attributed by the
-/// manager that charged them, never double-counted by the VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Component {
-    /// Graft-point dispatch (the 1 µs "indirection cost" row).
-    Indirection,
-    /// `TXN_BEGIN`.
-    TxnBegin,
-    /// `TXN_COMMIT` / `TXN_NESTED_COMMIT`.
-    TxnCommit,
-    /// Transaction lock acquires and mutex pairs.
-    Lock,
-    /// MiSFIT sandbox ops (`Clamp` / `CheckCall`).
-    Sfi,
-    /// The graft's own instructions (including host-call linkage).
-    GraftFn,
-    /// Result validation (`RESULT_CHECK`); zero for hooks whose result
-    /// needs no semantic check (e.g. read-ahead, where a bad extent is
-    /// simply clipped).
-    ResultCheck,
-    /// Undo logging and undo execution.
-    Undo,
-    /// Abort overhead and per-lock abort release.
-    Abort,
-}
-
-impl Component {
-    /// Number of attribution slots.
-    pub const COUNT: usize = 9;
-
-    /// Every component, in Table-3 rendering order.
-    pub const ALL: [Component; Component::COUNT] = [
-        Component::Indirection,
-        Component::TxnBegin,
-        Component::TxnCommit,
-        Component::Lock,
-        Component::Sfi,
-        Component::GraftFn,
-        Component::ResultCheck,
-        Component::Undo,
-        Component::Abort,
-    ];
-
-    /// The stable label used in renderings and exposition.
-    pub fn label(self) -> &'static str {
-        match self {
-            Component::Indirection => "indirection",
-            Component::TxnBegin => "txn-begin",
-            Component::TxnCommit => "txn-commit",
-            Component::Lock => "lock",
-            Component::Sfi => "sfi",
-            Component::GraftFn => "graft-fn",
-            Component::ResultCheck => "result-check",
-            Component::Undo => "undo",
-            Component::Abort => "abort",
-        }
+named_enum! {
+    /// The paper's named overhead components (Table 3's rows), the axes of
+    /// the per-graft attribution ledger.
+    ///
+    /// Each subsystem attributes its own `vino_sim::costs` charges exactly
+    /// once: the VM attributes per-instruction charges ([`Component::Sfi`]
+    /// for sandbox ops, [`Component::GraftFn`] for everything else), the
+    /// transaction manager attributes the envelope (begin/commit, locks,
+    /// undo, abort), and the dispatch site attributes
+    /// [`Component::Indirection`]. Host-call costs inside a VM window (e.g.
+    /// a transaction lock acquired through `$lock`) are attributed by the
+    /// manager that charged them, never double-counted by the VM.
+    pub enum Component, fn label {
+        /// Graft-point dispatch (the 1 µs "indirection cost" row).
+        Indirection => "indirection",
+        /// `TXN_BEGIN`.
+        TxnBegin => "txn-begin",
+        /// `TXN_COMMIT` / `TXN_NESTED_COMMIT`.
+        TxnCommit => "txn-commit",
+        /// Transaction lock acquires and mutex pairs.
+        Lock => "lock",
+        /// MiSFIT sandbox ops (`Clamp` / `CheckCall`).
+        Sfi => "sfi",
+        /// The graft's own instructions (including host-call linkage).
+        GraftFn => "graft-fn",
+        /// Result validation (`RESULT_CHECK`); zero for hooks whose result
+        /// needs no semantic check (e.g. read-ahead, where a bad extent is
+        /// simply clipped).
+        ResultCheck => "result-check",
+        /// Undo logging and undo execution.
+        Undo => "undo",
+        /// Abort overhead and per-lock abort release.
+        Abort => "abort",
     }
 }
 
@@ -517,12 +361,10 @@ impl Default for CycleHistogram {
 /// Per-graft aggregates, one fixed-size slot per interned tag.
 #[derive(Debug, Clone, Copy)]
 struct GraftSlot {
-    installs: u64,
     invocations: u64,
     commits: u64,
     aborts: u64,
     fallbacks: u64,
-    quarantines: u64,
     /// Deadline of the most recent quarantine trip, if any.
     quarantined_until: Option<Cycles>,
     /// Attributed cycles per component.
@@ -534,29 +376,16 @@ struct GraftSlot {
 impl GraftSlot {
     fn new() -> GraftSlot {
         GraftSlot {
-            installs: 0,
             invocations: 0,
             commits: 0,
             aborts: 0,
             fallbacks: 0,
-            quarantines: 0,
             quarantined_until: None,
             comps: [0; Component::COUNT],
             latency: CycleHistogram::new(),
         }
     }
 }
-
-/// One open invocation bracket on the fixed-depth stack.
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    tag: MetricTag,
-    start: Cycles,
-    comps: [u64; Component::COUNT],
-}
-
-const IDLE_FRAME: Frame =
-    Frame { tag: MetricTag(u16::MAX), start: Cycles(0), comps: [0; Component::COUNT] };
 
 // ---------------------------------------------------------------------------
 // The plane.
@@ -572,8 +401,7 @@ pub struct MetricsState {
     counters: [u64; Counter::COUNT],
     rm_peaks: [u64; 8],
     undo_depth_peak: u64,
-    pending_indirection: u64,
-    kernel_comps: [u64; Component::COUNT],
+    brackets: (u64, [u64; Component::COUNT]),
     grafts: Vec<GraftSlot>,
     names: Vec<String>,
     all_latency: CycleHistogram,
@@ -583,7 +411,8 @@ pub struct MetricsState {
 /// The shared metrics plane handle (see module docs).
 ///
 /// Create once, wrap in `Rc`, attach with `Kernel::attach_metrics_plane`
-/// (or wire subsystems individually via their `set_metrics_plane`).
+/// (or [`crate::obs::Planes::attach_metrics`] on a standalone subsystem's
+/// handle).
 #[derive(Debug)]
 pub struct MetricsPlane {
     clock: Rc<VirtualClock>,
@@ -593,13 +422,7 @@ pub struct MetricsPlane {
     rm_peaks: Cell<[u64; 8]>,
     /// Deepest undo stack observed.
     undo_depth_peak: Cell<u64>,
-    /// Dispatch charges awaiting the invocation they dispatch
-    /// ([`Component::Indirection`] recorded outside any bracket).
-    pending_indirection: Cell<u64>,
-    /// Charges recorded outside any invocation (kernel-side work).
-    kernel_comps: CellCounters<{ Component::COUNT }>,
-    frames: RefCell<[Frame; MAX_NEST]>,
-    depth: Cell<usize>,
+    brackets: Brackets<MetricTag>,
     grafts: RefCell<Vec<GraftSlot>>,
     names: RefCell<Vec<String>>,
     tags: RefCell<HashMap<String, MetricTag>>,
@@ -625,10 +448,7 @@ impl MetricsPlane {
             counters: CellCounters::new(),
             rm_peaks: Cell::new([0; 8]),
             undo_depth_peak: Cell::new(0),
-            pending_indirection: Cell::new(0),
-            kernel_comps: CellCounters::new(),
-            frames: RefCell::new([IDLE_FRAME; MAX_NEST]),
-            depth: Cell::new(0),
+            brackets: Brackets::new(MetricTag(u16::MAX)),
             grafts: RefCell::new(Vec::with_capacity(grafts)),
             names: RefCell::new(Vec::with_capacity(grafts)),
             tags: RefCell::new(HashMap::with_capacity(grafts)),
@@ -646,13 +466,11 @@ impl MetricsPlane {
     /// Panics if an invocation bracket is open — checkpoints are taken
     /// at quiesced instants only.
     pub fn export_state(&self) -> MetricsState {
-        assert_eq!(self.depth.get(), 0, "cannot checkpoint mid-invocation");
         MetricsState {
             counters: self.counters.load(),
             rm_peaks: self.rm_peaks.get(),
             undo_depth_peak: self.undo_depth_peak.get(),
-            pending_indirection: self.pending_indirection.get(),
-            kernel_comps: self.kernel_comps.load(),
+            brackets: self.brackets.export(),
             grafts: self.grafts.borrow().clone(),
             names: self.names.borrow().clone(),
             all_latency: *self.all_latency.borrow(),
@@ -666,8 +484,7 @@ impl MetricsPlane {
         self.counters.store(&st.counters);
         self.rm_peaks.set(st.rm_peaks);
         self.undo_depth_peak.set(st.undo_depth_peak);
-        self.pending_indirection.set(st.pending_indirection);
-        self.kernel_comps.store(&st.kernel_comps);
+        self.brackets.restore(st.brackets);
         *self.grafts.borrow_mut() = st.grafts.clone();
         *self.names.borrow_mut() = st.names.clone();
         let mut tags = self.tags.borrow_mut();
@@ -678,8 +495,6 @@ impl MetricsPlane {
         drop(tags);
         *self.all_latency.borrow_mut() = st.all_latency;
         *self.nic_port_drops.borrow_mut() = st.nic_port_drops.clone();
-        self.depth.set(0);
-        *self.frames.borrow_mut() = [IDLE_FRAME; MAX_NEST];
     }
 
     // -- interning ----------------------------------------------------------
@@ -719,6 +534,73 @@ impl MetricsPlane {
     /// Current value of counter `c`.
     pub fn get(&self, c: Counter) -> u64 {
         self.counters.get(c as usize)
+    }
+
+    /// Derives the counter twin of one trace event: the single place a
+    /// counter with an event is bumped ([`crate::obs::Planes::emit`] calls
+    /// it for every event, traced or not). The match is exhaustive on
+    /// purpose — a new event must say which counter it moves, or that
+    /// it moves none. Zero-allocation.
+    #[inline]
+    pub fn observe(&self, ev: &TraceEvent) {
+        use TraceEvent as E;
+        let c = match *ev {
+            // The VM bills `VmWindows`, `SfiClamps` and `SfiCallchecks`
+            // once per straight-line run; deriving them here would put
+            // a counter bump back on every `vm.sfi` emit (thousands per
+            // graft invocation).
+            E::VmWindow { .. } | E::SfiCheck { .. } => return,
+            E::TxnBegin { .. } => Counter::TxnBegins,
+            E::TxnCommit { nested: false, .. } => Counter::TxnCommits,
+            E::TxnCommit { nested: true, .. } => Counter::TxnNestedCommits,
+            E::TxnAbort { .. } => Counter::TxnAborts,
+            E::LockAcquire { .. } => Counter::TxnLockAcquires,
+            E::LockBlocked { .. } => Counter::LockWaits,
+            E::LockTimeout { .. } => Counter::LockTimeouts,
+            E::LockSteal { .. } => Counter::LockSteals,
+            E::UndoPush { depth, .. } => {
+                self.observe_undo_depth(depth);
+                Counter::UndoPushes
+            }
+            E::UndoRun { .. } => Counter::UndoRuns,
+            E::ResGrant { .. } => Counter::RmGrants,
+            E::ResRelease { .. } => Counter::RmReleases,
+            E::ResLimitHit { .. } => Counter::RmDenials,
+            E::FsRead { .. } => Counter::FsReads,
+            E::FsWrite { .. } => Counter::FsWrites,
+            E::FsPrefetch { .. } => Counter::FsPrefetches,
+            E::FsJournalAppend { .. } => Counter::FsJournalAppends,
+            E::FsJournalCommit { .. } => Counter::FsJournalCommits,
+            E::FsCheckpoint { .. } => Counter::FsCheckpoints,
+            E::FsRecoveryReplay { .. } => Counter::FsRecoveryReplays,
+            E::FsRecoveryDiscard { .. } => Counter::FsRecoveryDiscards,
+            E::GraftInstall { .. } => Counter::GraftInstalls,
+            E::GraftInvoke { .. } => Counter::GraftInvocations,
+            E::GraftCommit { .. } => Counter::GraftCommits,
+            E::GraftAbort { .. } => Counter::GraftAborts,
+            E::GraftQuarantine { .. } => Counter::GraftQuarantines,
+            E::FallbackServed { .. } => Counter::GraftFallbacks,
+            E::NetRx { .. } => Counter::NetRxPackets,
+            E::NetShed { kind: ShedKind::Overflow, .. } => Counter::NetRxOverflows,
+            E::NetShed { kind: ShedKind::Watermark, .. } => Counter::NetRxSheds,
+            E::NetVerdict { verdict: VerdictKind::Accept, .. } => Counter::NetAccepts,
+            E::NetVerdict { verdict: VerdictKind::Drop, .. } => Counter::NetDrops,
+            E::NetVerdict { verdict: VerdictKind::Steer, .. } => Counter::NetSteers,
+            E::NetSteer { .. } => Counter::NetSteerHops,
+            E::NetLoopCut { .. } => Counter::NetLoopCuts,
+            E::NetBatch { .. } => Counter::NetBatchDispatches,
+            // Alert edges have no counter: the watch plane keeps its
+            // own edge log and firing set.
+            E::WatchAlertFiring { .. } | E::WatchAlertResolved { .. } => return,
+            E::AdmissionAllow { .. } => Counter::AdmissionAllows,
+            E::AdmissionDeny { .. } => Counter::AdmissionDenies,
+            E::ReplShip { .. } => Counter::ReplShips,
+            E::ReplAck { .. } => Counter::ReplAcks,
+            E::ReplApply { .. } => Counter::ReplApplies,
+            E::ReplFrameDrop { .. } => Counter::ReplFrameDrops,
+            E::ReplPromote { .. } => Counter::ReplPromotions,
+        };
+        self.inc(c);
     }
 
     /// Raises the high-water mark for resource kind `kind`
@@ -779,27 +661,15 @@ impl MetricsPlane {
     /// every other component is kernel-side work and lands in the
     /// kernel ledger ([`Self::kernel_attribution`]).
     pub fn charge(&self, c: Component, cost: Cycles) {
-        let d = self.depth.get();
-        if d > 0 {
-            self.frames.borrow_mut()[d - 1].comps[c as usize] += cost.get();
-        } else if c == Component::Indirection {
-            self.pending_indirection.set(self.pending_indirection.get() + cost.get());
-        } else {
-            self.kernel_comps.add(c as usize, cost.get());
-        }
+        self.brackets.charge(c, cost);
     }
 
     /// Opens an invocation bracket for `tag`: starts the latency stamp,
-    /// claims any pending dispatch charge, and counts the invocation.
-    /// Zero-allocation.
+    /// claims any pending dispatch charge, and counts the invocation in
+    /// the graft's ledger (the global counter is derived from
+    /// `graft.invoke`). Zero-allocation.
     pub fn begin_invocation(&self, tag: MetricTag) {
-        let d = self.depth.get();
-        assert!(d < MAX_NEST, "metrics invocation nest deeper than MAX_NEST");
-        let mut frame = Frame { tag, start: self.clock.now(), comps: [0; Component::COUNT] };
-        frame.comps[Component::Indirection as usize] += self.pending_indirection.replace(0);
-        self.frames.borrow_mut()[d] = frame;
-        self.depth.set(d + 1);
-        self.inc(Counter::GraftInvocations);
+        self.brackets.open(tag, self.clock.now());
         if let Some(slot) = self.grafts.borrow_mut().get_mut(tag.0 as usize) {
             slot.invocations += 1;
         }
@@ -807,15 +677,12 @@ impl MetricsPlane {
 
     /// Closes the innermost invocation bracket: records latency, merges
     /// the frame's attribution into the graft ledger, and counts the
-    /// outcome. Zero-allocation.
+    /// outcome there (the global counters are derived from
+    /// `graft.commit` / `graft.abort`). Zero-allocation.
     pub fn end_invocation(&self, committed: bool) {
-        let d = self.depth.get();
-        assert!(d > 0, "end_invocation without begin_invocation");
-        self.depth.set(d - 1);
-        let frame = self.frames.borrow()[d - 1];
+        let frame = self.brackets.close();
         let latency = self.clock.now().saturating_sub(frame.start);
         self.all_latency.borrow_mut().record(latency);
-        self.inc(if committed { Counter::GraftCommits } else { Counter::GraftAborts });
         if let Some(slot) = self.grafts.borrow_mut().get_mut(frame.tag.0 as usize) {
             for (total, add) in slot.comps.iter_mut().zip(frame.comps.iter()) {
                 *total += add;
@@ -829,33 +696,23 @@ impl MetricsPlane {
         }
     }
 
-    /// Records a graft install for `tag`.
-    pub fn mark_install(&self, tag: MetricTag) {
-        self.inc(Counter::GraftInstalls);
-        if let Some(slot) = self.grafts.borrow_mut().get_mut(tag.0 as usize) {
-            slot.installs += 1;
-        }
-    }
-
-    /// Records a dead-graft invocation refused to the fallback path.
-    /// Flushes any unclaimed dispatch charge to the kernel ledger (the
-    /// dispatch led nowhere).
+    /// Records a dead-graft invocation refused to the fallback path in
+    /// `tag`'s ledger (the global counter is derived from
+    /// `graft.fallback`). Flushes any unclaimed dispatch charge to the
+    /// kernel ledger (the dispatch led nowhere).
     pub fn mark_fallback(&self, tag: MetricTag) {
-        let pending = self.pending_indirection.replace(0);
-        self.kernel_comps.add(Component::Indirection as usize, pending);
-        self.inc(Counter::GraftFallbacks);
+        self.brackets.drop_pending();
         if let Some(slot) = self.grafts.borrow_mut().get_mut(tag.0 as usize) {
             slot.fallbacks += 1;
         }
     }
 
-    /// Records a quarantine trip for graft `name` until `until`.
-    /// Interns the name (quarantine is off the hot path).
+    /// Stamps graft `name`'s health state as quarantined until `until`
+    /// (the trip itself is counted from `graft.quarantine`). Interns
+    /// the name (quarantine is off the hot path).
     pub fn quarantine(&self, name: &str, until: Cycles) {
         let tag = self.tag(name);
-        self.inc(Counter::GraftQuarantines);
         if let Some(slot) = self.grafts.borrow_mut().get_mut(tag.0 as usize) {
-            slot.quarantines += 1;
             slot.quarantined_until = Some(until);
         }
     }
@@ -877,7 +734,7 @@ impl MetricsPlane {
 
     /// Cycles attributed to kernel-side work outside any invocation.
     pub fn kernel_attribution(&self) -> [u64; Component::COUNT] {
-        self.kernel_comps.load()
+        self.brackets.kernel()
     }
 
     /// Per-graft invocation-latency quantile (`num/den`), if any
@@ -1115,7 +972,10 @@ mod tests {
         assert_eq!(a.of(Component::TxnBegin), Cycles::from_us(36));
         assert_eq!(a.of(Component::GraftFn), Cycles(240));
         assert_eq!(a.of(Component::Abort), Cycles(0));
-        assert_eq!(mp.get(Counter::GraftCommits), 1);
+        assert_eq!(mp.abort_rate(t), 0.0);
+        // Brackets keep the per-graft ledger; the global counters are
+        // derived from the lifecycle events (`observe`).
+        assert_eq!(mp.get(Counter::GraftInvocations) + mp.get(Counter::GraftCommits), 0);
         // 70 us = 8400 cycles, bucket [2^13, 2^14) → upper bound 2^14 - 1.
         assert_eq!(mp.latency_quantile(t, 50, 100), Some(Cycles((1 << 14) - 1)));
     }
@@ -1134,8 +994,8 @@ mod tests {
         assert_eq!(mp.attribution(outer).unwrap().of(Component::TxnBegin), Cycles(100));
         assert_eq!(mp.attribution(inner).unwrap().of(Component::TxnBegin), Cycles(7));
         assert_eq!(mp.attribution(inner).unwrap().invocations, 1);
-        assert_eq!(mp.get(Counter::GraftAborts), 1);
-        assert_eq!(mp.get(Counter::GraftCommits), 1);
+        assert_eq!(mp.abort_rate(inner), 1.0);
+        assert_eq!(mp.abort_rate(outer), 0.0);
     }
 
     #[test]
@@ -1156,7 +1016,6 @@ mod tests {
         mp.charge(Component::Indirection, Cycles(120));
         mp.mark_fallback(t);
         assert_eq!(mp.kernel_attribution()[Component::Indirection as usize], 120);
-        assert_eq!(mp.get(Counter::GraftFallbacks), 1);
         // The next invocation starts clean.
         mp.begin_invocation(t);
         mp.end_invocation(true);
@@ -1167,7 +1026,6 @@ mod tests {
     fn quarantine_state_tracks_the_clock() {
         let (mp, clock) = plane();
         mp.quarantine("flaky", Cycles::from_ms(250));
-        assert_eq!(mp.get(Counter::GraftQuarantines), 1);
         assert!(mp.health().contains("quarantined@"));
         clock.advance_to(Cycles::from_ms(251));
         assert!(!mp.health().contains("quarantined@"));

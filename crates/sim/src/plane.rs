@@ -1,23 +1,26 @@
 //! Shared observability-plane plumbing.
 //!
-//! Every observability plane (fault, trace, metrics, profile) follows
-//! the same attach contract: a single shared `Rc` handle is wired
-//! through the subsystems exactly once, and a second attach is refused
-//! so two planes can never interleave records on the same sites. The
-//! kernel used to re-implement the "already attached" flag per plane;
-//! this module centralises the error type and the one-shot slot so new
-//! planes get the contract for free. It also holds `CellCounters`, the
-//! fixed counter array the planes bump on their hot paths.
+//! Every observability plane (fault, trace, metrics, profile, watch)
+//! follows the same attach contract: a plane fills its slot in the
+//! shared [`crate::obs::Obs`] handle exactly once, and a second attach
+//! is refused so two planes can never interleave records on the same
+//! sites. This module holds the error type for that refusal,
+//! `CellCounters`, the fixed counter array the planes bump on their
+//! hot paths, and `Brackets`, the invocation brackets both attribution
+//! ledgers keep.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
+
+use crate::clock::Cycles;
+use crate::metrics::Component;
 
 /// Errors from `Kernel::attach_*_plane`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttachError {
-    /// A plane of this kind is already attached. Planes are wired
-    /// through every subsystem at attach time; swapping one mid-run
-    /// would split the record stream across two planes.
+    /// A plane of this kind is already attached. Every subsystem sees
+    /// a plane from its attach on; swapping one mid-run would split the
+    /// record stream across two planes.
     AlreadyAttached,
 }
 
@@ -30,38 +33,6 @@ impl fmt::Display for AttachError {
 }
 
 impl std::error::Error for AttachError {}
-
-/// A one-shot attach slot: the first [`claim`](AttachSlot::claim) wins,
-/// every later claim reports [`AttachError::AlreadyAttached`].
-///
-/// The slot only records *that* a plane was attached — the handle
-/// itself lives wherever the subsystems were wired — so it stays a
-/// single `Cell<bool>` and works from `&self` attach methods.
-#[derive(Debug, Default)]
-pub struct AttachSlot {
-    taken: Cell<bool>,
-}
-
-impl AttachSlot {
-    /// An unclaimed slot.
-    pub const fn new() -> AttachSlot {
-        AttachSlot { taken: Cell::new(false) }
-    }
-
-    /// Claims the slot; errors if it was already claimed.
-    pub fn claim(&self) -> Result<(), AttachError> {
-        if self.taken.replace(true) {
-            Err(AttachError::AlreadyAttached)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// True once a plane has been attached.
-    pub fn is_claimed(&self) -> bool {
-        self.taken.get()
-    }
-}
 
 /// A fixed array of `u64` counters, one `Cell` per slot, so a bump
 /// reads and writes only its own slot. Zero-allocation.
@@ -100,19 +71,102 @@ impl<const N: usize> CellCounters<N> {
     }
 }
 
+/// Maximum concurrently bracketed invocations (graft-to-graft nesting).
+/// The engine bounds nesting well below this (`MAX_NEST_DEPTH`).
+const MAX_NEST: usize = 16;
+
+/// One open invocation bracket and the cycles attributed to it so far.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame<T> {
+    pub(crate) tag: T,
+    pub(crate) start: Cycles,
+    pub(crate) comps: [u64; Component::COUNT],
+}
+
+/// The invocation brackets both attribution ledgers (metrics and
+/// profile) keep, so the two attribute every charge by one rule: into
+/// the innermost open invocation; outside any, a dispatch
+/// ([`Component::Indirection`]) charge waits for the invocation it
+/// dispatches and every other charge lands in the kernel ledger.
+/// Fixed depth, zero-allocation.
+#[derive(Debug)]
+pub(crate) struct Brackets<T> {
+    frames: RefCell<[Frame<T>; MAX_NEST]>,
+    depth: Cell<usize>,
+    pending_indirection: Cell<u64>,
+    kernel: CellCounters<{ Component::COUNT }>,
+}
+
+impl<T: Copy> Brackets<T> {
+    pub(crate) fn new(idle: T) -> Brackets<T> {
+        let frame = Frame { tag: idle, start: Cycles(0), comps: [0; Component::COUNT] };
+        Brackets {
+            frames: RefCell::new([frame; MAX_NEST]),
+            depth: Cell::new(0),
+            pending_indirection: Cell::new(0),
+            kernel: CellCounters::new(),
+        }
+    }
+
+    pub(crate) fn charge(&self, c: Component, cost: Cycles) {
+        let d = self.depth.get();
+        if d > 0 {
+            self.frames.borrow_mut()[d - 1].comps[c as usize] += cost.get();
+        } else if c == Component::Indirection {
+            self.pending_indirection.set(self.pending_indirection.get() + cost.get());
+        } else {
+            self.kernel.add(c as usize, cost.get());
+        }
+    }
+
+    /// Opens a bracket, claiming the pending dispatch charge.
+    pub(crate) fn open(&self, tag: T, start: Cycles) {
+        let d = self.depth.get();
+        assert!(d < MAX_NEST, "invocation nest deeper than MAX_NEST");
+        let mut comps = [0; Component::COUNT];
+        comps[Component::Indirection as usize] = self.pending_indirection.replace(0);
+        self.frames.borrow_mut()[d] = Frame { tag, start, comps };
+        self.depth.set(d + 1);
+    }
+
+    pub(crate) fn close(&self) -> Frame<T> {
+        let d = self.depth.get();
+        assert!(d > 0, "end_invocation without begin_invocation");
+        self.depth.set(d - 1);
+        self.frames.borrow()[d - 1]
+    }
+
+    pub(crate) fn innermost(&self) -> Option<T> {
+        self.depth.get().checked_sub(1).map(|d| self.frames.borrow()[d].tag)
+    }
+
+    /// Moves the pending dispatch charge to the kernel ledger: the
+    /// dispatch led to no invocation (a dead graft's fallback).
+    pub(crate) fn drop_pending(&self) {
+        self.kernel.add(Component::Indirection as usize, self.pending_indirection.replace(0));
+    }
+
+    pub(crate) fn kernel(&self) -> [u64; Component::COUNT] {
+        self.kernel.load()
+    }
+
+    /// The checkpointable state; checkpoints are taken with no bracket
+    /// open.
+    pub(crate) fn export(&self) -> (u64, [u64; Component::COUNT]) {
+        assert_eq!(self.depth.get(), 0, "cannot checkpoint mid-invocation");
+        (self.pending_indirection.get(), self.kernel.load())
+    }
+
+    pub(crate) fn restore(&self, (pending, kernel): (u64, [u64; Component::COUNT])) {
+        self.pending_indirection.set(pending);
+        self.kernel.store(&kernel);
+        self.depth.set(0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn first_claim_wins() {
-        let slot = AttachSlot::new();
-        assert!(!slot.is_claimed());
-        assert_eq!(slot.claim(), Ok(()));
-        assert!(slot.is_claimed());
-        assert_eq!(slot.claim(), Err(AttachError::AlreadyAttached));
-        assert_eq!(slot.claim(), Err(AttachError::AlreadyAttached));
-    }
 
     #[test]
     fn cell_counters_update_in_place_and_round_trip() {

@@ -49,17 +49,13 @@ use std::rc::Rc;
 
 use crate::clock::{Cycles, VirtualClock};
 use crate::metrics::{Attribution, Component};
-use crate::plane::CellCounters;
+use crate::plane::Brackets;
 
 /// Interned graft-name handle, the profile twin of
 /// [`crate::metrics::MetricTag`]. Interning happens at install time;
 /// every hot-path call passes the `Copy` tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProfTag(pub u16);
-
-/// Maximum concurrently bracketed invocations, matching the metrics
-/// plane's nest bound.
-const MAX_NEST: usize = 16;
 
 /// Default span-buffer capacity; overflow is dropped and counted.
 const DEFAULT_SPAN_CAP: usize = 4096;
@@ -72,45 +68,31 @@ const STACK_RESERVE: usize = 64;
 // Spans.
 // ---------------------------------------------------------------------------
 
-/// The kinds of spans in an invocation tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
-    /// One graft invocation, begin bracket to end bracket.
-    Invocation,
-    /// `TXN_BEGIN` inside the wrapper envelope.
-    TxnBegin,
-    /// Top-level or nested commit.
-    TxnCommit,
-    /// Time spent blocked on a contended lock (advance-to-deadline).
-    LockWait,
-    /// Undo logging or undo execution.
-    Undo,
-    /// Abort overhead including per-lock release.
-    Abort,
-    /// File-system dispatch indirection to a grafted policy.
-    FsDispatch,
-    /// Packet-plane batched filter dispatch.
-    NetDispatch,
-    /// A resource-manager grant (instantaneous).
-    RmGrant,
+named_enum! {
+    /// The kinds of spans in an invocation tree.
+    pub enum SpanKind, fn label {
+        /// One graft invocation, begin bracket to end bracket.
+        Invocation => "invoke",
+        /// `TXN_BEGIN` inside the wrapper envelope.
+        TxnBegin => "txn-begin",
+        /// Top-level or nested commit.
+        TxnCommit => "txn-commit",
+        /// Time spent blocked on a contended lock (advance-to-deadline).
+        LockWait => "lock-wait",
+        /// Undo logging or undo execution.
+        Undo => "undo",
+        /// Abort overhead including per-lock release.
+        Abort => "abort",
+        /// File-system dispatch indirection to a grafted policy.
+        FsDispatch => "fs-dispatch",
+        /// Packet-plane batched filter dispatch.
+        NetDispatch => "net-dispatch",
+        /// A resource-manager grant (instantaneous).
+        RmGrant => "rm-grant",
+    }
 }
 
 impl SpanKind {
-    /// The stable name used in Chrome-trace output.
-    pub fn label(self) -> &'static str {
-        match self {
-            SpanKind::Invocation => "invoke",
-            SpanKind::TxnBegin => "txn-begin",
-            SpanKind::TxnCommit => "txn-commit",
-            SpanKind::LockWait => "lock-wait",
-            SpanKind::Undo => "undo",
-            SpanKind::Abort => "abort",
-            SpanKind::FsDispatch => "fs-dispatch",
-            SpanKind::NetDispatch => "net-dispatch",
-            SpanKind::RmGrant => "rm-grant",
-        }
-    }
-
     /// The Chrome-trace category.
     pub fn category(self) -> &'static str {
         match self {
@@ -211,17 +193,6 @@ impl GraftProf {
     }
 }
 
-/// One open invocation bracket on the fixed-depth stack.
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    tag: ProfTag,
-    start: Cycles,
-    comps: [u64; Component::COUNT],
-}
-
-const IDLE_FRAME: Frame =
-    Frame { tag: ProfTag(u16::MAX), start: Cycles(0), comps: [0; Component::COUNT] };
-
 /// One row of the hot-function report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotFn {
@@ -244,20 +215,16 @@ pub struct HotFn {
 /// The shared profiling plane handle (see module docs).
 ///
 /// Create once, wrap in `Rc`, attach with `Kernel::attach_profile_plane`
-/// (or wire subsystems individually via their `set_profile_plane`).
+/// (or [`crate::obs::Planes::attach_profile`] on a standalone subsystem's
+/// handle).
 #[derive(Debug)]
 pub struct ProfilePlane {
     clock: Rc<VirtualClock>,
     grafts: RefCell<Vec<GraftProf>>,
     names: RefCell<Vec<String>>,
     tags: RefCell<HashMap<String, ProfTag>>,
-    frames: RefCell<[Frame; MAX_NEST]>,
-    depth: Cell<usize>,
-    /// Dispatch charges awaiting the invocation they dispatch (mirrors
-    /// the metrics plane's pending-indirection rule).
-    pending_indirection: Cell<u64>,
-    /// Charges recorded outside any invocation (kernel-side work).
-    kernel_comps: CellCounters<{ Component::COUNT }>,
+    /// The same bracket rule as the metrics plane's ledger.
+    brackets: Brackets<ProfTag>,
     spans: RefCell<Vec<Span>>,
     span_cap: usize,
     spans_dropped: Cell<u64>,
@@ -278,10 +245,7 @@ impl ProfilePlane {
             grafts: RefCell::new(Vec::with_capacity(grafts)),
             names: RefCell::new(Vec::with_capacity(grafts)),
             tags: RefCell::new(HashMap::with_capacity(grafts)),
-            frames: RefCell::new([IDLE_FRAME; MAX_NEST]),
-            depth: Cell::new(0),
-            pending_indirection: Cell::new(0),
-            kernel_comps: CellCounters::new(),
+            brackets: Brackets::new(ProfTag(u16::MAX)),
             spans: RefCell::new(Vec::with_capacity(spans)),
             span_cap: spans,
             spans_dropped: Cell::new(0),
@@ -325,24 +289,13 @@ impl ProfilePlane {
 
     // -- hot-path recording -------------------------------------------------
 
-    fn charge_bracketed(&self, c: Component, cost: Cycles) {
-        let d = self.depth.get();
-        if d > 0 {
-            self.frames.borrow_mut()[d - 1].comps[c as usize] += cost.get();
-        } else if c == Component::Indirection {
-            self.pending_indirection.set(self.pending_indirection.get() + cost.get());
-        } else {
-            self.kernel_comps.add(c as usize, cost.get());
-        }
-    }
-
     /// Attributes a host-side `cost` to component `c` of the innermost
     /// open invocation, with exactly the bracket semantics of
     /// [`crate::metrics::MetricsPlane::charge`] — pending indirection
     /// and the kernel ledger included — so the two planes reconcile.
     /// Zero-allocation.
     pub fn charge(&self, c: Component, cost: Cycles) {
-        self.charge_bracketed(c, cost);
+        self.brackets.charge(c, cost);
     }
 
     /// Bills one retired instruction: `cost` cycles of component `c`
@@ -365,8 +318,8 @@ impl ProfilePlane {
     /// per instruction, always before the call tree or the innermost
     /// bracket can change. Zero-allocation.
     pub fn charge_retired(&self, tag: ProfTag, graft: Cycles, sfi: Cycles, instrs: u64) {
-        self.charge_bracketed(Component::GraftFn, graft);
-        self.charge_bracketed(Component::Sfi, sfi);
+        self.brackets.charge(Component::GraftFn, graft);
+        self.brackets.charge(Component::Sfi, sfi);
         let mut grafts = self.grafts.borrow_mut();
         let Some(g) = grafts.get_mut(tag.0 as usize) else { return };
         g.instrs += instrs;
@@ -432,12 +385,7 @@ impl ProfilePlane {
     /// dispatch charge, stamps the span start, and rewinds the call
     /// stack. Zero-allocation.
     pub fn begin_invocation(&self, tag: ProfTag) {
-        let d = self.depth.get();
-        assert!(d < MAX_NEST, "profile invocation nest deeper than MAX_NEST");
-        let mut frame = Frame { tag, start: self.clock.now(), comps: [0; Component::COUNT] };
-        frame.comps[Component::Indirection as usize] += self.pending_indirection.replace(0);
-        self.frames.borrow_mut()[d] = frame;
-        self.depth.set(d + 1);
+        self.brackets.open(tag, self.clock.now());
         let mut grafts = self.grafts.borrow_mut();
         if let Some(g) = grafts.get_mut(tag.0 as usize) {
             g.invocations += 1;
@@ -450,10 +398,7 @@ impl ProfilePlane {
     /// attribution into the graft ledger and records the invocation
     /// span. Zero-allocation (the span buffer is pre-sized).
     pub fn end_invocation(&self, committed: bool) {
-        let d = self.depth.get();
-        assert!(d > 0, "end_invocation without begin_invocation");
-        self.depth.set(d - 1);
-        let frame = self.frames.borrow()[d - 1];
+        let frame = self.brackets.close();
         if let Some(g) = self.grafts.borrow_mut().get_mut(frame.tag.0 as usize) {
             for (total, add) in g.comps.iter_mut().zip(frame.comps.iter()) {
                 *total += add;
@@ -473,8 +418,7 @@ impl ProfilePlane {
     /// flushes any unclaimed dispatch charge to the kernel ledger
     /// (mirroring the metrics plane).
     pub fn mark_fallback(&self) {
-        let pending = self.pending_indirection.replace(0);
-        self.kernel_comps.add(Component::Indirection as usize, pending);
+        self.brackets.drop_pending();
     }
 
     /// Records a child span of `kind` that just finished and lasted
@@ -505,12 +449,7 @@ impl ProfilePlane {
     }
 
     fn current_tag(&self) -> u16 {
-        let d = self.depth.get();
-        if d > 0 {
-            self.frames.borrow()[d - 1].tag.0
-        } else {
-            u16::MAX
-        }
+        self.brackets.innermost().map_or(u16::MAX, |t| t.0)
     }
 
     fn push_span(&self, span: Span) {
@@ -542,7 +481,7 @@ impl ProfilePlane {
 
     /// Cycles attributed to kernel-side work outside any invocation.
     pub fn kernel_attribution(&self) -> [u64; Component::COUNT] {
-        self.kernel_comps.load()
+        self.brackets.kernel()
     }
 
     /// Instructions retired by `tag`.
@@ -692,7 +631,7 @@ impl ProfilePlane {
                 }
             }
         }
-        let kernel = self.kernel_comps.load();
+        let kernel = self.brackets.kernel();
         for c in Component::ALL {
             let v = kernel[c as usize];
             if v > 0 {

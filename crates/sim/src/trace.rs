@@ -18,9 +18,9 @@
 //! flight recorder of `docs/TRACING.md`.
 //!
 //! Like [`crate::fault::FaultPlane`], the plane is passive and shared
-//! behind `Rc` with interior mutability; subsystems thread a handle via
-//! their `set_trace_plane` methods and the kernel wires everything with
-//! one `attach_trace_plane` call.
+//! behind `Rc` with interior mutability; subsystems reach it through
+//! their [`crate::obs::Obs`] handle and the kernel attaches it with one
+//! `attach_trace_plane` call.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -41,6 +41,13 @@ pub const DEFAULT_POST_MORTEM_WINDOW: usize = 32;
 /// plane's name table maps them back for rendering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GraftTag(pub u16);
+
+impl GraftTag {
+    /// Stand-in tag for events emitted where no trace plane is bound:
+    /// the event still drives its counter, and no plane ever renders
+    /// the tag.
+    pub const UNTRACED: GraftTag = GraftTag(u16::MAX);
+}
 
 /// Identity of the kernel a [`TracePlane`] records for. A single-kernel
 /// simulation is node 0; the replication harness runs the primary as

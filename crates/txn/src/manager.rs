@@ -19,10 +19,11 @@ use std::rc::Rc;
 
 use vino_sim::costs;
 use vino_sim::event::EventQueue;
-use vino_sim::fault::{FaultPlane, FaultSite};
-use vino_sim::metrics::{Component, Counter, MetricsPlane};
-use vino_sim::profile::{ProfilePlane, SpanKind};
-use vino_sim::trace::{TraceEvent, TracePlane};
+use vino_sim::fault::FaultSite;
+use vino_sim::metrics::{Component, Counter};
+use vino_sim::obs::Obs;
+use vino_sim::profile::SpanKind;
+use vino_sim::trace::TraceEvent;
 use vino_sim::{Cycles, ThreadId, VirtualClock};
 
 use crate::locks::{AcquireOutcome, LockClass, LockId, LockTable};
@@ -171,17 +172,12 @@ const STORM_WAITER: ThreadId = ThreadId(u64::MAX);
 
 /// The default VINO transaction manager (§3.1).
 pub struct TxnManager {
-    clock: Rc<VirtualClock>,
     table: LockTable,
     stacks: HashMap<ThreadId, Vec<TxnFrame>>,
     timeouts: EventQueue<PendingTimeout>,
     next_txn: u64,
     stats: TxnStats,
-    fault: Option<Rc<FaultPlane>>,
-    trace: Option<Rc<TracePlane>>,
-    metrics: Option<Rc<MetricsPlane>>,
-    profile: Option<Rc<ProfilePlane>>,
-    watch: Option<Rc<vino_sim::watch::WatchPlane>>,
+    obs: Obs,
     /// Abort reports from fired time-outs, keyed by the aborted holder.
     /// The graft wrapper consumes these to discover that its transaction
     /// was stolen out from under it (see [`take_forced_abort`]).
@@ -191,20 +187,26 @@ pub struct TxnManager {
 }
 
 impl TxnManager {
-    /// Creates a manager charging costs to `clock`.
+    /// Creates a manager charging costs to `clock`, with no planes.
     pub fn new(clock: Rc<VirtualClock>) -> TxnManager {
+        TxnManager::with_obs(Obs::new(clock))
+    }
+
+    /// Creates a manager observed through `obs`, charging costs to its
+    /// clock. A [`FaultSite::LockTimeoutStorm`] firing on a granted
+    /// transactional acquire schedules a forced time-out against the
+    /// holder at the next clock tick. Envelope steps emit `txn.*`
+    /// events, bill their cycles to their overhead component and mark
+    /// profile spans; fired time-outs feed the watch plane's
+    /// `lock-starved` rule.
+    pub fn with_obs(obs: Obs) -> TxnManager {
         TxnManager {
-            clock,
             table: LockTable::new(),
             stacks: HashMap::new(),
             timeouts: EventQueue::new(),
             next_txn: 0,
             stats: TxnStats::default(),
-            fault: None,
-            trace: None,
-            metrics: None,
-            profile: None,
-            watch: None,
+            obs,
             forced: HashMap::new(),
         }
     }
@@ -216,80 +218,12 @@ impl TxnManager {
 
     /// The clock this manager charges costs to.
     pub fn clock(&self) -> &Rc<VirtualClock> {
-        &self.clock
+        self.obs.clock()
     }
 
-    /// Wires a fault-injection plane. When [`FaultSite::LockTimeoutStorm`]
-    /// fires on a granted transactional acquire, the manager schedules a
-    /// forced time-out against the holder at the next clock tick — as if
-    /// a phantom waiter had contended the lock since the beginning of
-    /// time.
-    pub fn set_fault_plane(&mut self, plane: Rc<FaultPlane>) {
-        self.fault = Some(plane);
-    }
-
-    /// Wires a trace plane: begins/commits/aborts, lock grants,
-    /// contention, fired time-outs, steals and undo activity all emit
-    /// `txn.*` events (see `docs/TRACING.md`).
-    pub fn set_trace_plane(&mut self, plane: Rc<TracePlane>) {
-        self.trace = Some(plane);
-    }
-
-    /// Wires a metrics plane: every `txn.*` trace site also bumps its
-    /// counter twin, and every transaction-envelope cycle charge is
-    /// attributed to its overhead component (begin/commit, lock, undo,
-    /// abort — see `docs/METRICS.md`).
-    pub fn set_metrics_plane(&mut self, plane: Rc<MetricsPlane>) {
-        self.metrics = Some(plane);
-    }
-
-    /// Wires a profile plane: every envelope cycle charge gets a profile
-    /// attribution twin (so the two ledgers reconcile exactly) and the
-    /// envelope steps — begin, lock-wait, undo, commit, abort — are
-    /// recorded as child spans of the enclosing invocation (see
-    /// `docs/PROFILING.md`).
-    pub fn set_profile_plane(&mut self, plane: Rc<ProfilePlane>) {
-        self.profile = Some(plane);
-    }
-
-    /// Wires a watch plane: every fired lock time-out that aborts a
-    /// holder feeds the lock-timeout-rate window, so the `lock-starved`
-    /// SLO rule sees convoy pressure as it builds (see `docs/WATCH.md`).
-    pub fn set_watch_plane(&mut self, plane: Rc<vino_sim::watch::WatchPlane>) {
-        self.watch = Some(plane);
-    }
-
-    fn pcharge(&self, comp: Component, cost: Cycles) {
-        if let Some(pp) = &self.profile {
-            pp.charge(comp, cost);
-        }
-    }
-
-    fn pmark(&self, kind: SpanKind, dur: Cycles) {
-        if let Some(pp) = &self.profile {
-            pp.mark(kind, dur);
-        }
-    }
-
-    fn emit(&self, ev: TraceEvent) {
-        if let Some(tp) = &self.trace {
-            tp.emit(ev);
-        }
-    }
-
-    fn minc(&self, c: Counter) {
-        if let Some(mp) = &self.metrics {
-            mp.inc(c);
-        }
-    }
-
-    /// Charges `cost` to the clock and attributes it to `comp`.
-    fn bill(&self, comp: Component, cost: Cycles) {
-        self.clock.charge(cost);
-        if let Some(mp) = &self.metrics {
-            mp.charge(comp, cost);
-        }
-        self.pcharge(comp, cost);
+    /// The observation handle the manager reports through.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Number of active transactions across all threads (the survival
@@ -340,8 +274,7 @@ impl TxnManager {
     pub fn take_forced_abort(&mut self, thread: ThreadId, txn: TxnId) -> Option<AbortReport> {
         match self.forced.get(&thread) {
             Some(r) if r.txn == txn => {
-                self.minc(Counter::LockSteals);
-                self.emit(TraceEvent::LockSteal { thread: thread.0, txn: txn.0 });
+                self.obs.emit(TraceEvent::LockSteal { thread: thread.0, txn: txn.0 });
                 self.forced.remove(&thread)
             }
             _ => None,
@@ -361,16 +294,15 @@ impl TxnManager {
     /// Begins a transaction on `thread`. If the thread already has one,
     /// the new transaction nests inside it (§3.1).
     pub fn begin(&mut self, thread: ThreadId) -> TxnId {
-        self.bill(Component::TxnBegin, costs::TXN_BEGIN);
-        self.pmark(SpanKind::TxnBegin, costs::TXN_BEGIN);
-        self.minc(Counter::TxnBegins);
+        self.obs.bill(Component::TxnBegin, costs::TXN_BEGIN);
+        self.obs.mark(SpanKind::TxnBegin, costs::TXN_BEGIN);
         let id = TxnId(self.next_txn);
         self.next_txn += 1;
         self.stats.begins += 1;
         let stack = self.stacks.entry(thread).or_default();
         stack.push(TxnFrame { id, undo: UndoStack::new(), locks: Vec::new() });
         let depth = stack.len() as u64;
-        self.emit(TraceEvent::TxnBegin { thread: thread.0, txn: id.0, depth });
+        self.obs.emit(TraceEvent::TxnBegin { thread: thread.0, txn: id.0, depth });
         id
     }
 
@@ -403,16 +335,10 @@ impl TxnManager {
             .get_mut(&thread)
             .and_then(|s| s.last_mut())
             .ok_or(TxnError::NoTransaction(thread))?;
-        self.clock.charge(Cycles(costs::UNDO_PUSH.0));
         frame.undo.push(UndoRecord::new(label, cost, op));
         let depth = frame.undo.len() as u64;
-        if let Some(mp) = &self.metrics {
-            mp.charge(Component::Undo, Cycles(costs::UNDO_PUSH.0));
-            mp.inc(Counter::UndoPushes);
-            mp.observe_undo_depth(depth);
-        }
-        self.pcharge(Component::Undo, Cycles(costs::UNDO_PUSH.0));
-        self.emit(TraceEvent::UndoPush { thread: thread.0, depth });
+        self.obs.bill(Component::Undo, costs::UNDO_PUSH);
+        self.obs.emit(TraceEvent::UndoPush { thread: thread.0, depth });
         Ok(())
     }
 
@@ -435,14 +361,7 @@ impl TxnManager {
             AcquireOutcome::Granted => {
                 match self.stacks.get_mut(&thread) {
                     Some(stack) if !stack.is_empty() => {
-                        if let Some(mp) = &self.metrics {
-                            mp.charge(Component::Lock, costs::TXN_LOCK_ACQUIRE);
-                            mp.inc(Counter::TxnLockAcquires);
-                        }
-                        if let Some(pp) = &self.profile {
-                            pp.charge(Component::Lock, costs::TXN_LOCK_ACQUIRE);
-                        }
-                        self.clock.charge(costs::TXN_LOCK_ACQUIRE);
+                        self.obs.bill(Component::Lock, costs::TXN_LOCK_ACQUIRE);
                         // The lock belongs to the frame that FIRST
                         // acquired it: re-recording a re-entrant grant
                         // in an inner frame would make an inner abort
@@ -451,34 +370,29 @@ impl TxnManager {
                         if !stack.iter().any(|f| f.locks.contains(&lock)) {
                             stack.last_mut().expect("non-empty").locks.push(lock);
                         }
-                        if let Some(tp) = &self.trace {
-                            tp.emit(TraceEvent::LockAcquire { lock: lock.0, thread: thread.0 });
-                        }
-                        if let Some(plane) = &self.fault {
-                            if plane.fire(FaultSite::LockTimeoutStorm) {
-                                let deadline = EventQueue::<PendingTimeout>::round_to_tick(
-                                    self.clock.now() + Cycles(1),
-                                );
-                                self.timeouts.schedule_exact(
-                                    deadline,
-                                    PendingTimeout { lock, waiter: STORM_WAITER },
-                                );
-                            }
+                        self.obs.emit(TraceEvent::LockAcquire { lock: lock.0, thread: thread.0 });
+                        if self.obs.fire(FaultSite::LockTimeoutStorm) {
+                            let deadline = EventQueue::<PendingTimeout>::round_to_tick(
+                                self.obs.clock().now() + Cycles(1),
+                            );
+                            self.timeouts.schedule_exact(
+                                deadline,
+                                PendingTimeout { lock, waiter: STORM_WAITER },
+                            );
                         }
                     }
                     _ => {
-                        self.bill(Component::Lock, costs::MUTEX_PAIR);
-                        self.minc(Counter::MutexAcquires);
+                        self.obs.bill(Component::Lock, costs::MUTEX_PAIR);
+                        self.obs.inc(Counter::MutexAcquires);
                     }
                 }
                 LockOutcome::Granted
             }
             AcquireOutcome::Contended { holder, timeout } => {
                 let deadline =
-                    EventQueue::<PendingTimeout>::round_to_tick(self.clock.now() + timeout);
+                    EventQueue::<PendingTimeout>::round_to_tick(self.obs.clock().now() + timeout);
                 self.timeouts.schedule_exact(deadline, PendingTimeout { lock, waiter: thread });
-                self.minc(Counter::LockWaits);
-                self.emit(TraceEvent::LockBlocked {
+                self.obs.emit(TraceEvent::LockBlocked {
                     lock: lock.0,
                     waiter: thread.0,
                     holder: holder.0,
@@ -510,15 +424,8 @@ impl TxnManager {
         let frame = stack.pop().ok_or(TxnError::NoTransaction(thread))?;
         if let Some(parent) = stack.last_mut() {
             // Nested commit: merge undo stack and locks into the parent.
-            self.clock.charge(costs::TXN_NESTED_COMMIT);
-            if let Some(mp) = &self.metrics {
-                mp.charge(Component::TxnCommit, costs::TXN_NESTED_COMMIT);
-                mp.inc(Counter::TxnNestedCommits);
-            }
-            if let Some(pp) = &self.profile {
-                pp.charge(Component::TxnCommit, costs::TXN_NESTED_COMMIT);
-                pp.mark(SpanKind::TxnCommit, costs::TXN_NESTED_COMMIT);
-            }
+            self.obs.bill(Component::TxnCommit, costs::TXN_NESTED_COMMIT);
+            self.obs.mark(SpanKind::TxnCommit, costs::TXN_NESTED_COMMIT);
             self.stats.nested_commits += 1;
             parent.undo.absorb(frame.undo);
             for l in frame.locks {
@@ -526,7 +433,7 @@ impl TxnManager {
                     parent.locks.push(l);
                 }
             }
-            self.emit(TraceEvent::TxnCommit {
+            self.obs.emit(TraceEvent::TxnCommit {
                 thread: thread.0,
                 txn: frame.id.0,
                 nested: true,
@@ -539,9 +446,8 @@ impl TxnManager {
                 handoffs: Vec::new(),
             })
         } else {
-            self.bill(Component::TxnCommit, costs::TXN_COMMIT);
-            self.pmark(SpanKind::TxnCommit, costs::TXN_COMMIT);
-            self.minc(Counter::TxnCommits);
+            self.obs.bill(Component::TxnCommit, costs::TXN_COMMIT);
+            self.obs.mark(SpanKind::TxnCommit, costs::TXN_COMMIT);
             self.stats.commits += 1;
             let mut handoffs = Vec::new();
             let mut released = 0;
@@ -551,7 +457,7 @@ impl TxnManager {
                     handoffs.push((*l, next));
                 }
             }
-            self.emit(TraceEvent::TxnCommit {
+            self.obs.emit(TraceEvent::TxnCommit {
                 thread: thread.0,
                 txn: frame.id.0,
                 nested: false,
@@ -571,22 +477,17 @@ impl TxnManager {
     ) -> Result<AbortReport, TxnError> {
         let stack = self.stacks.get_mut(&thread).ok_or(TxnError::NoTransaction(thread))?;
         let mut frame = stack.pop().ok_or(TxnError::NoTransaction(thread))?;
-        let start = self.clock.now();
-        self.bill(Component::Abort, costs::TXN_ABORT_OVERHEAD);
-        self.minc(Counter::TxnAborts);
+        let start = self.obs.clock().now();
+        self.obs.bill(Component::Abort, costs::TXN_ABORT_OVERHEAD);
         let (undo_ops, undo_cost) = frame.undo.unwind();
-        self.clock.charge(undo_cost);
-        if let Some(mp) = &self.metrics {
-            mp.charge(Component::Undo, undo_cost);
-        }
-        self.pcharge(Component::Undo, undo_cost);
+        self.obs.bill(Component::Undo, undo_cost);
         if undo_cost.get() > 0 {
-            self.pmark(SpanKind::Undo, undo_cost);
+            self.obs.mark(SpanKind::Undo, undo_cost);
         }
         let mut handoffs = Vec::new();
         let mut released = 0;
         for l in &frame.locks {
-            self.bill(Component::Abort, costs::ABORT_UNLOCK);
+            self.obs.bill(Component::Abort, costs::ABORT_UNLOCK);
             released += 1;
             if let Some(next) = self.table.release_all_holds(*l, thread) {
                 handoffs.push((*l, next));
@@ -595,23 +496,20 @@ impl TxnManager {
         self.stats.aborts += 1;
         self.stats.undo_ops_run += undo_ops as u64;
         if undo_ops > 0 {
-            self.minc(Counter::UndoRuns);
-            self.emit(TraceEvent::UndoRun { thread: thread.0, ops: undo_ops as u64 });
+            self.obs.emit(TraceEvent::UndoRun { thread: thread.0, ops: undo_ops as u64 });
         }
-        self.emit(TraceEvent::TxnAbort {
+        self.obs.emit(TraceEvent::TxnAbort {
             thread: thread.0,
             txn: frame.id.0,
             locks: released as u64,
         });
-        if let Some(pp) = &self.profile {
-            pp.mark_since(SpanKind::Abort, start);
-        }
+        self.obs.mark_since(SpanKind::Abort, start);
         Ok(AbortReport {
             txn: frame.id,
             reason,
             undo_ops,
             locks_released: released,
-            cost: self.clock.since(start),
+            cost: self.obs.clock().since(start),
             handoffs,
         })
     }
@@ -630,7 +528,7 @@ impl TxnManager {
     /// released. Stale time-outs (contention already resolved, or the
     /// waiter has the lock now) are reported as [`TimeoutEvent::Stale`].
     pub fn fire_due_timeouts(&mut self) -> Vec<TimeoutEvent> {
-        let now = self.clock.now();
+        let now = self.obs.clock().now();
         let due = self.timeouts.fire_due(now);
         let mut events = Vec::new();
         for (_, PendingTimeout { lock, waiter }) in due {
@@ -638,11 +536,8 @@ impl TxnManager {
             match holder {
                 Some(h) if h != waiter => {
                     if self.in_txn(h) {
-                        self.minc(Counter::LockTimeouts);
-                        if let Some(wp) = &self.watch {
-                            wp.observe_lock_timeout();
-                        }
-                        self.emit(TraceEvent::LockTimeout { lock: lock.0, holder: h.0 });
+                        self.obs.watched(|wp| wp.observe_lock_timeout());
+                        self.obs.emit(TraceEvent::LockTimeout { lock: lock.0, holder: h.0 });
                         let report = self
                             .abort(h, AbortReason::LockTimeout(lock))
                             .expect("holder verified in txn");
@@ -677,11 +572,9 @@ impl TxnManager {
             match self.lock(lock, thread) {
                 LockOutcome::Granted => return (true, events),
                 LockOutcome::Blocked { deadline, .. } => {
-                    let t0 = self.clock.now();
-                    self.clock.advance_to(deadline);
-                    if let Some(pp) = &self.profile {
-                        pp.mark_since(SpanKind::LockWait, t0);
-                    }
+                    let t0 = self.obs.clock().now();
+                    self.obs.clock().advance_to(deadline);
+                    self.obs.mark_since(SpanKind::LockWait, t0);
                     events.extend(self.fire_due_timeouts());
                 }
             }
@@ -714,13 +607,13 @@ mod tests {
     #[test]
     fn begin_commit_costs_match_paper() {
         let mut m = mgr();
-        let t0 = m.clock.now();
+        let t0 = m.clock().now();
         m.begin(T1);
-        assert_eq!(m.clock.since(t0), costs::TXN_BEGIN);
-        let t1 = m.clock.now();
+        assert_eq!(m.clock().since(t0), costs::TXN_BEGIN);
+        let t1 = m.clock().now();
         let rep = m.commit(T1).unwrap();
         assert!(!rep.nested);
-        assert_eq!(m.clock.since(t1), costs::TXN_COMMIT);
+        assert_eq!(m.clock().since(t1), costs::TXN_COMMIT);
         // Begin+commit == the paper's 64-66us "null graft" transaction
         // envelope.
         let total = (costs::TXN_BEGIN + costs::TXN_COMMIT).as_us();
@@ -850,17 +743,17 @@ mod tests {
         // §4.6: a transaction lock adds ~19us over a conventional mutex.
         let mut m = mgr();
         let l = m.create_lock(LockClass::Buffer);
-        let t0 = m.clock.now();
+        let t0 = m.clock().now();
         m.lock(l, T1); // No txn: mutex path.
-        let mutex_cost = m.clock.since(t0);
+        let mutex_cost = m.clock().since(t0);
         m.unlock(l, T1);
 
         let mut m2 = mgr();
         let l2 = m2.create_lock(LockClass::Buffer);
         m2.begin(T2);
-        let t0 = m2.clock.now();
+        let t0 = m2.clock().now();
         m2.lock(l2, T2);
-        let txn_cost = m2.clock.since(t0);
+        let txn_cost = m2.clock().since(t0);
         let delta = txn_cost.as_us() - mutex_cost.as_us();
         assert!((delta - 19.0).abs() < 1e-9, "delta = {delta}");
     }
@@ -898,7 +791,7 @@ mod tests {
         assert!(deadline >= timeout);
         assert!(deadline.get() <= (timeout + costs::CLOCK_TICK).get());
         // Advance to the deadline and fire.
-        m.clock.advance_to(deadline);
+        m.clock().advance_to(deadline);
         let events = m.fire_due_timeouts();
         assert_eq!(events.len(), 1);
         match &events[0] {
@@ -924,7 +817,7 @@ mod tests {
         // Holder commits (releasing) before the deadline.
         m.commit(T1).unwrap();
         m.lock(l, T2);
-        m.clock.advance_to(deadline);
+        m.clock().advance_to(deadline);
         let events = m.fire_due_timeouts();
         assert!(matches!(events[0], TimeoutEvent::Stale { .. }));
         assert_eq!(m.stats().timeout_aborts, 0);
@@ -936,7 +829,7 @@ mod tests {
         let l = m.create_lock(LockClass::Buffer);
         m.lock(l, T1); // Plain mutex hold, no txn.
         let LockOutcome::Blocked { deadline, .. } = m.lock(l, T2) else { panic!() };
-        m.clock.advance_to(deadline);
+        m.clock().advance_to(deadline);
         let events = m.fire_due_timeouts();
         assert!(matches!(events[0], TimeoutEvent::HolderNotInTxn { .. }));
     }
@@ -957,7 +850,7 @@ mod tests {
         let LockOutcome::Blocked { .. } = m.lock(l1, T2) else { panic!() };
         // Advance to the first deadline; at least one holder aborts.
         let dl = m.next_timeout().unwrap();
-        m.clock.advance_to(dl);
+        m.clock().advance_to(dl);
         let events = m.fire_due_timeouts();
         let aborted: Vec<_> = events
             .iter()
@@ -1002,13 +895,13 @@ mod tests {
         use vino_sim::trace::TracePlane;
         let mut m = mgr();
         let plane = TracePlane::new(Rc::clone(m.clock()));
-        m.set_trace_plane(Rc::clone(&plane));
+        m.obs().attach_trace(Rc::clone(&plane)).unwrap();
         let l = m.create_lock(LockClass::Buffer);
         let txn = m.begin(T1);
         m.lock(l, T1);
         m.log_undo(T1, "x", Cycles(1), || {}).unwrap();
         let LockOutcome::Blocked { deadline, .. } = m.lock(l, T2) else { panic!() };
-        m.clock.advance_to(deadline);
+        m.clock().advance_to(deadline);
         m.fire_due_timeouts();
         assert!(m.take_forced_abort(T1, txn).is_some());
         let evs: Vec<TraceEvent> = plane.records().iter().map(|r| r.event).collect();

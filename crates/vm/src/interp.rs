@@ -30,7 +30,7 @@
 //! - **Fault visits**: a run whose [`FaultSite::VmTrap`] visits cannot
 //!   fire (no rate set, the next armed one-shot lies beyond it) records
 //!   them in bulk up front and returns the ones a trap left unreached.
-//!   Any other run calls [`FaultPlane::fire`] before each instruction,
+//!   Any other run calls [`vino_sim::FaultPlane::fire`] before each instruction,
 //!   exactly as a per-instruction interpreter would, so the RNG draw
 //!   order never changes.
 //!
@@ -40,10 +40,11 @@
 use std::rc::Rc;
 
 use vino_sim::costs;
-use vino_sim::fault::{FaultPlane, FaultSite};
-use vino_sim::metrics::{Component, Counter, MetricsPlane};
-use vino_sim::profile::{ProfTag, ProfilePlane};
-use vino_sim::trace::{SfiKind, TraceEvent, TracePlane, VmExitKind};
+use vino_sim::fault::FaultSite;
+use vino_sim::metrics::{Component, Counter};
+use vino_sim::obs::Planes;
+use vino_sim::profile::ProfTag;
+use vino_sim::trace::{SfiKind, TraceEvent, VmExitKind};
 use vino_sim::{Cycles, VirtualClock};
 
 use crate::isa::{AluOp, Cond, HostFnId, Instr, Program};
@@ -283,10 +284,12 @@ pub struct Vm {
     /// Per-run counters.
     pub stats: RunStats,
     cfg: VmConfig,
-    fault: Option<Rc<FaultPlane>>,
-    trace: Option<Rc<TracePlane>>,
-    metrics: Option<Rc<MetricsPlane>>,
-    profile: Option<(Rc<ProfilePlane>, ProfTag)>,
+    /// The planes bound at install (inline: this is the per-instruction
+    /// path).
+    obs: Planes,
+    /// This graft's profile tag; `Some` only when `obs` has a profile
+    /// plane.
+    ptag: Option<ProfTag>,
     decoded: Decoded,
     /// [`Component::GraftFn`] cycles charged to the clock but not yet
     /// to the metrics and profile planes.
@@ -312,10 +315,8 @@ impl Vm {
             mem,
             stats: RunStats::default(),
             cfg,
-            fault: None,
-            trace: None,
-            metrics: None,
-            profile: None,
+            obs: Planes::default(),
+            ptag: None,
             decoded: Decoded::default(),
             pending_fn: 0,
             pending_sfi: 0,
@@ -323,34 +324,16 @@ impl Vm {
         }
     }
 
-    /// Attaches a fault plane: each interpreted instruction visits
-    /// [`FaultSite::VmTrap`], so `plane.arm(VmTrap, n)` traps this VM at
-    /// its `n`th instruction (counted across runs and resumes).
-    pub fn set_fault_plane(&mut self, plane: Rc<FaultPlane>) {
-        self.fault = Some(plane);
-    }
-
-    /// Attaches a trace plane: every [`run`](Self::run) window emits a
-    /// `vm.window` event (instructions retired + exit kind) and every
-    /// MiSFIT sandbox check emits a `vm.sfi` event.
-    pub fn set_trace_plane(&mut self, plane: Rc<TracePlane>) {
-        self.trace = Some(plane);
-    }
-
-    /// Attaches a metrics plane: windows, instructions retired and SFI
-    /// checks are counted, and every instruction's cycle charge is
-    /// attributed to an overhead component ([`Component::Sfi`] for
-    /// sandbox ops, [`Component::GraftFn`] for everything else; host
-    /// functions attribute their own interior costs).
-    pub fn set_metrics_plane(&mut self, plane: Rc<MetricsPlane>) {
-        self.metrics = Some(plane);
-    }
-
-    /// Attaches a profile plane under `tag`: every retired instruction
-    /// bills its cycle cost to this VM's (graft, function, pc) key, and
-    /// `calll`/`ret` drive the call-graph capture.
-    pub fn set_profile_plane(&mut self, plane: Rc<ProfilePlane>, tag: ProfTag) {
-        self.profile = Some((plane, tag));
+    /// Binds the observation handle, plus this graft's profile tag
+    /// (kept only when `obs` carries a profile plane). Each interpreted
+    /// instruction visits [`FaultSite::VmTrap`], so `arm(VmTrap, n)`
+    /// traps this VM at its `n`th instruction across runs and resumes.
+    /// Windows emit `vm.window` and sandbox checks `vm.sfi`; cycles are
+    /// attributed to [`Component::Sfi`] or [`Component::GraftFn`] and
+    /// billed to this graft's per-PC profile.
+    pub fn bind(&mut self, obs: Planes, ptag: Option<ProfTag>) {
+        self.ptag = ptag.filter(|_| obs.profile().is_some());
+        self.obs = obs;
     }
 
     /// Builds `prog`'s run table: per pc, the length of its straight-line
@@ -384,7 +367,7 @@ impl Vm {
         let sfi = std::mem::take(&mut self.pending_sfi);
         let (now, was) = (self.stats, std::mem::replace(&mut self.flushed, self.stats));
         let instrs = now.instrs - was.instrs;
-        if let Some(mp) = &self.metrics {
+        if let Some(mp) = self.obs.metrics() {
             if graft > 0 {
                 mp.charge(Component::GraftFn, Cycles(graft));
             }
@@ -394,17 +377,28 @@ impl Vm {
             mp.add(Counter::SfiClamps, now.clamps - was.clamps);
             mp.add(Counter::SfiCallchecks, now.checkcalls - was.checkcalls);
         }
-        if let Some((pp, tag)) = &self.profile {
+        if let (Some(pp), Some(tag)) = (self.obs.profile(), self.ptag) {
             if instrs > 0 {
-                pp.charge_retired(*tag, Cycles(graft), Cycles(sfi), instrs);
+                pp.charge_retired(tag, Cycles(graft), Cycles(sfi), instrs);
             }
+        }
+    }
+
+    /// Records a `vm.sfi` event for the check at the previous pc. It
+    /// goes straight to the trace plane: `vm.sfi` derives no counter
+    /// (the SFI counters are billed per run, in [`flush`](Self::flush)),
+    /// and this is the per-instruction path.
+    #[inline(always)]
+    fn trace_sfi(&self, kind: SfiKind) {
+        if let Some(tp) = self.obs.trace() {
+            tp.emit(TraceEvent::SfiCheck { kind, pc: (self.pc - 1) as u64 });
         }
     }
 
     /// Records that a run entered at `start` retired `retired`
     /// instructions, for the per-PC fold.
     fn note_run(&mut self, start: usize, retired: usize) {
-        if self.profile.is_none() || retired == 0 {
+        if self.ptag.is_none() || retired == 0 {
             return;
         }
         let d = &mut self.decoded;
@@ -421,14 +415,14 @@ impl Vm {
     /// ledger: a pc retired once per run entered at or before it (within
     /// its run) that was not cut short before it.
     fn fold_hits(&mut self) {
-        let Some((pp, tag)) = &self.profile else { return };
+        let (Some(pp), Some(tag)) = (self.obs.profile(), self.ptag) else { return };
         let d = &mut self.decoded;
         let mut live = 0u64;
         for pc in d.lo..=d.hi {
             let info = &mut d.pcs[pc];
             live += std::mem::take(&mut info.entries);
             if live > 0 {
-                pp.record_pc_hits(*tag, pc, live, info.comp, Cycles(info.cost));
+                pp.record_pc_hits(tag, pc, live, info.comp, Cycles(info.cost));
             }
             live -= std::mem::take(&mut info.cuts);
             if info.run == 1 {
@@ -445,8 +439,8 @@ impl Vm {
         self.pc = 0;
         self.call_stack.clear();
         self.stats = RunStats::default();
-        if let Some((pp, tag)) = &self.profile {
-            pp.reset_stack(*tag);
+        if let (Some(pp), Some(tag)) = (self.obs.profile(), self.ptag) {
+            pp.reset_stack(tag);
         }
     }
 
@@ -471,18 +465,17 @@ impl Vm {
         let exit = self.run_window(prog, env, clock, fuel);
         self.flush();
         self.fold_hits();
-        if let Some(mp) = &self.metrics {
+        let instrs = self.stats.instrs - window_start;
+        if let Some(mp) = self.obs.metrics() {
             mp.inc(Counter::VmWindows);
-            mp.add(Counter::VmInstrs, self.stats.instrs - window_start);
+            mp.add(Counter::VmInstrs, instrs);
         }
-        if let Some(tp) = &self.trace {
-            let kind = match &exit {
-                Exit::Halted(_) => VmExitKind::Halt,
-                Exit::Preempted => VmExitKind::Preempt,
-                Exit::Trapped(_) => VmExitKind::Trap,
-            };
-            tp.emit(TraceEvent::VmWindow { instrs: self.stats.instrs - window_start, exit: kind });
-        }
+        let kind = match &exit {
+            Exit::Halted(_) => VmExitKind::Halt,
+            Exit::Preempted => VmExitKind::Preempt,
+            Exit::Trapped(_) => VmExitKind::Trap,
+        };
+        self.obs.emit(TraceEvent::VmWindow { instrs, exit: kind });
         exit
     }
 
@@ -504,8 +497,8 @@ impl Vm {
             // At least one instruction: fuel > 0 and every run is non-empty.
             let n = (info.run as u64).min(*fuel) as usize;
             let quiet = self
-                .fault
-                .as_ref()
+                .obs
+                .fault()
                 .is_none_or(|fp| fp.record_quiet_visits(FaultSite::VmTrap, n as u64));
             let (retired, exit) = if quiet {
                 self.drive::<false>(prog, n, env, clock)
@@ -543,7 +536,7 @@ impl Vm {
                 let exit = Exit::Trapped(Trap::PcOutOfRange { pc: self.pc });
                 return self.stop_early::<CHECKED>(n, i, exit);
             };
-            if CHECKED && self.fault.as_ref().is_some_and(|fp| fp.fire(FaultSite::VmTrap)) {
+            if CHECKED && self.obs.fire(FaultSite::VmTrap) {
                 return (i, Some(Exit::Trapped(Trap::Injected { pc: self.pc })));
             }
             self.stats.instrs += 1;
@@ -568,7 +561,7 @@ impl Vm {
         exit: Exit,
     ) -> (usize, Option<Exit>) {
         if !CHECKED {
-            if let Some(fp) = &self.fault {
+            if let Some(fp) = self.obs.fault() {
                 fp.return_quiet_visits(FaultSite::VmTrap, (n - reached) as u64);
             }
         }
@@ -651,20 +644,20 @@ impl Vm {
                 }
                 self.call_stack.push(self.pc);
                 self.pc = target as usize;
-                if self.profile.is_some() {
+                if self.ptag.is_some() {
                     self.flush();
                 }
-                if let Some((pp, tag)) = &self.profile {
-                    pp.enter_fn(*tag, target);
+                if let (Some(pp), Some(tag)) = (self.obs.profile(), self.ptag) {
+                    pp.enter_fn(tag, target);
                 }
             }
             Instr::Ret => {
                 self.pc = self.call_stack.pop().ok_or(Trap::RetWithoutCall)?;
-                if self.profile.is_some() {
+                if self.ptag.is_some() {
                     self.flush();
                 }
-                if let Some((pp, tag)) = &self.profile {
-                    pp.exit_fn(*tag);
+                if let (Some(pp), Some(tag)) = (self.obs.profile(), self.ptag) {
+                    pp.exit_fn(tag);
                 }
             }
             Instr::Halt { result } => {
@@ -672,22 +665,12 @@ impl Vm {
             }
             Instr::Clamp { r } => {
                 self.stats.clamps += 1;
-                if let Some(tp) = &self.trace {
-                    tp.emit(TraceEvent::SfiCheck {
-                        kind: SfiKind::Clamp,
-                        pc: (self.pc - 1) as u64,
-                    });
-                }
+                self.trace_sfi(SfiKind::Clamp);
                 self.regs[r.idx()] = self.mem.clamp(self.regs[r.idx()]);
             }
             Instr::CheckCall { r } => {
                 self.stats.checkcalls += 1;
-                if let Some(tp) = &self.trace {
-                    tp.emit(TraceEvent::SfiCheck {
-                        kind: SfiKind::CheckCall,
-                        pc: (self.pc - 1) as u64,
-                    });
-                }
+                self.trace_sfi(SfiKind::CheckCall);
                 let id = HostFnId(self.regs[r.idx()] as u32);
                 if !env.is_callable(id) {
                     return Err(Trap::ForbiddenCall { id });
@@ -1003,7 +986,9 @@ mod tests {
         let (mut vm, clock) = ctx();
         let plane = FaultPlane::seeded(0);
         plane.arm(FaultSite::VmTrap, 3);
-        vm.set_fault_plane(plane);
+        let obs = Planes::new(Rc::clone(&clock));
+        obs.attach_fault(plane).unwrap();
+        vm.bind(obs, None);
         let prog = Program::new("spin", vec![Instr::Jmp { target: 0 }]);
         let mut fuel = 100;
         let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
@@ -1018,7 +1003,9 @@ mod tests {
         let (mut vm, clock) = ctx();
         let plane = FaultPlane::seeded(0);
         plane.arm(FaultSite::VmTrap, 5);
-        vm.set_fault_plane(plane);
+        let obs = Planes::new(Rc::clone(&clock));
+        obs.attach_fault(plane).unwrap();
+        vm.bind(obs, None);
         let prog = Program::new("spin", vec![Instr::Jmp { target: 0 }]);
         let mut fuel = 3;
         assert_eq!(vm.run(&prog, &mut NullKernel, &clock, &mut fuel), Exit::Preempted);
@@ -1033,7 +1020,9 @@ mod tests {
         use vino_sim::trace::{SfiKind, TraceEvent, TracePlane, VmExitKind};
         let (mut vm, clock) = ctx();
         let plane = TracePlane::new(Rc::clone(&clock));
-        vm.set_trace_plane(Rc::clone(&plane));
+        let obs = Planes::new(Rc::clone(&clock));
+        obs.attach_trace(Rc::clone(&plane)).unwrap();
+        vm.bind(obs, None);
         let prog = Program::new(
             "t",
             vec![
@@ -1060,7 +1049,7 @@ mod tests {
     /// Host fn #1 arms a [`FaultSite::VmTrap`] one-shot `ahead` visits
     /// past the current one; every other id is unknown.
     struct ArmingKernel {
-        plane: Rc<FaultPlane>,
+        plane: Rc<vino_sim::fault::FaultPlane>,
         ahead: u64,
     }
 
@@ -1120,9 +1109,11 @@ mod tests {
         pp.register_program(tag, prog.instrs.len());
         let mtag = mp.tag("t");
         mp.begin_invocation(mtag);
-        vm.set_fault_plane(Rc::clone(&fp));
-        vm.set_metrics_plane(Rc::clone(&mp));
-        vm.set_profile_plane(Rc::clone(&pp), tag);
+        let obs = Planes::new(Rc::clone(&clock));
+        obs.attach_fault(Rc::clone(&fp)).unwrap();
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        obs.attach_profile(Rc::clone(&pp)).unwrap();
+        vm.bind(obs, Some(tag));
         vm.predecode(prog);
         let mut env = ArmingKernel { plane: Rc::clone(&fp), ahead: 2 };
         let (mut exits, mut fuel_left) = (Vec::new(), Vec::new());
@@ -1316,8 +1307,10 @@ mod tests {
         let mp = MetricsPlane::new(Rc::clone(&clock));
         let pp = ProfilePlane::new(Rc::clone(&clock));
         let tag = pp.tag("t");
-        vm.set_metrics_plane(Rc::clone(&mp));
-        vm.set_profile_plane(Rc::clone(&pp), tag);
+        let obs = Planes::new(Rc::clone(&clock));
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        obs.attach_profile(Rc::clone(&pp)).unwrap();
+        vm.bind(obs, Some(tag));
         let prog = Program::new(
             "t",
             vec![
@@ -1344,7 +1337,9 @@ mod tests {
         let pp = ProfilePlane::new(Rc::clone(&clock));
         let tag = pp.tag("t");
         pp.register_program(tag, 7);
-        vm.set_profile_plane(Rc::clone(&pp), tag);
+        let obs = Planes::new(Rc::clone(&clock));
+        obs.attach_profile(Rc::clone(&pp)).unwrap();
+        vm.bind(obs, Some(tag));
         let prog = Program::new(
             "t",
             vec![

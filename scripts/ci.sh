@@ -43,7 +43,7 @@ cargo test -q --test timeline_golden
 echo "== stale-golden guard (regenerated goldens must match the checked-in files) =="
 UPDATE_GOLDENS=1 cargo test -q --test trace_golden --test metrics_golden \
     --test profile_golden --test timeline_golden --test repl_battery \
-    --test causal_battery
+    --test causal_battery --test packet_storm --test watch_battery
 git diff --exit-code -- tests/goldens
 
 echo "== debugging plane (checkpoint/restore, bisect bound, shrinker minimality) =="

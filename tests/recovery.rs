@@ -598,7 +598,7 @@ fn image_with_pending_redo(seed: u64) -> DiskImage {
         FaultSite::KernelCrashAfterCommit,
         plane.visits(FaultSite::KernelCrashAfterCommit) + 1,
     );
-    fs.set_fault_plane(plane);
+    fs.obs().attach_fault(plane).unwrap();
     assert_eq!(fs.write(fd, 0, &vec![0x22; 2 * BLOCK_SIZE]), Err(FsError::PowerFailure));
     fs.disk_image()
 }
@@ -608,9 +608,9 @@ fn image_with_pending_redo(seed: u64) -> DiskImage {
 /// hit the replay path itself.
 fn recover_with(image: DiskImage, plane: Option<Rc<FaultPlane>>) -> (DiskImage, RecoveryReport) {
     let clock = VirtualClock::new();
-    let mut disk = Disk::from_image(Rc::clone(&clock), image).unwrap();
+    let disk = Disk::from_image(Rc::clone(&clock), image).unwrap();
     if let Some(p) = plane {
-        disk.set_fault_plane(p);
+        disk.obs().attach_fault(p).unwrap();
     }
     let mut fs = FileSystem::mount(clock, disk, 8).unwrap();
     let report = fs.recovery_report().unwrap();
@@ -653,8 +653,8 @@ fn torn_replay_is_repaired_by_rerunning_recovery() {
     let fp = FaultPlane::seeded(5);
     fp.arm(FaultSite::DiskTornWrite, 1);
     let clock = VirtualClock::new();
-    let mut disk = Disk::from_image(Rc::clone(&clock), image).unwrap();
-    disk.set_fault_plane(Rc::clone(&fp));
+    let disk = Disk::from_image(Rc::clone(&clock), image).unwrap();
+    disk.obs().attach_fault(Rc::clone(&fp)).unwrap();
     let mut fs = FileSystem::mount(clock, disk, 8).unwrap();
     assert_eq!(fp.injected(FaultSite::DiskTornWrite), 1, "the replay write must tear");
 

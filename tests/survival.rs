@@ -355,9 +355,11 @@ fn run_battery(seed: u64) -> Tally {
     assert_eq!(ts.net, 0, "this battery drives no packet plane");
 
     // ---- Cross-plane reconciliation ----
-    // Every reconciling metrics counter is incremented at the same
-    // code site as its trace-event twin, so each subsystem's trace
-    // count must equal the sum of that subsystem's counters. (The
+    // Counters with a trace event are derived from it
+    // (`MetricsPlane::observe`), so txn/rm/fs/graft agree by
+    // construction. The VM is the exception: it bills windows and SFI
+    // checks in bulk per straight-line run, so its counters and its
+    // trace events are still two records that must agree. (The
     // measurement-only counters — VmInstrs, MutexAcquires — have no
     // trace twin and are excluded.)
     let g = |c| mp.get(c);
@@ -365,47 +367,6 @@ fn run_battery(seed: u64) -> Tally {
         ts.vm,
         g(Counter::VmWindows) + g(Counter::SfiClamps) + g(Counter::SfiCallchecks),
         "vm trace events must reconcile with vm counters"
-    );
-    assert_eq!(
-        ts.txn,
-        g(Counter::TxnBegins)
-            + g(Counter::TxnCommits)
-            + g(Counter::TxnNestedCommits)
-            + g(Counter::TxnAborts)
-            + g(Counter::TxnLockAcquires)
-            + g(Counter::LockWaits)
-            + g(Counter::LockTimeouts)
-            + g(Counter::LockSteals)
-            + g(Counter::UndoPushes)
-            + g(Counter::UndoRuns),
-        "txn trace events must reconcile with txn counters"
-    );
-    assert_eq!(
-        ts.rm,
-        g(Counter::RmGrants) + g(Counter::RmDenials) + g(Counter::RmReleases),
-        "rm trace events must reconcile with rm counters"
-    );
-    assert_eq!(
-        ts.fs,
-        g(Counter::FsReads)
-            + g(Counter::FsWrites)
-            + g(Counter::FsPrefetches)
-            + g(Counter::FsJournalAppends)
-            + g(Counter::FsJournalCommits)
-            + g(Counter::FsCheckpoints)
-            + g(Counter::FsRecoveryReplays)
-            + g(Counter::FsRecoveryDiscards),
-        "fs trace events must reconcile with fs counters"
-    );
-    assert_eq!(
-        ts.graft,
-        g(Counter::GraftInstalls)
-            + g(Counter::GraftInvocations)
-            + g(Counter::GraftCommits)
-            + g(Counter::GraftAborts)
-            + g(Counter::GraftQuarantines)
-            + g(Counter::GraftFallbacks),
-        "graft trace events must reconcile with graft counters"
     );
     // The planes also agree with the battery's own tally.
     assert_eq!(g(Counter::GraftCommits), tally.commits);
