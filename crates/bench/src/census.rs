@@ -1,6 +1,6 @@
 //! The machine-readable bench census: `vino-bench census [--json]`.
 //!
-//! Four sweeps, each also emitted as a `BENCH_<name>.json` file when
+//! Five sweeps, each also emitted as a `BENCH_<name>.json` file when
 //! `--json` is passed (hand-rolled serialization — the census has no
 //! dependency beyond `std`):
 //!
@@ -21,6 +21,11 @@
 //!   chain over a data block and over a zero block, and the two-lane
 //!   helper over a pair of data blocks. Host measurements, like
 //!   `planes`.
+//! - `vm` — wall-clock ns per retired GraftVM instruction on the
+//!   MiSFIT-instrumented Table 6 encryption graft, bare and with the
+//!   fault, trace, metrics and profile planes bound, plus ns per
+//!   `vm.sfi` record handed to the trace plane in one batch. Host
+//!   measurements, like `planes`.
 
 use std::rc::Rc;
 use std::time::Instant;
@@ -36,7 +41,15 @@ use vino_sim::profile::ProfilePlane;
 use vino_sim::trace::{CauseCtx, SpanId, TraceEvent, TracePlane};
 use vino_sim::Cycles;
 
-use crate::netfilter;
+use vino_core::hostfn;
+use vino_misfit::instrument;
+use vino_sim::fault::FaultPlane;
+use vino_sim::obs::Planes;
+use vino_sim::trace::SfiKind;
+use vino_vm::interp::{Exit, NullKernel, Vm};
+use vino_vm::mem::{AddressSpace, Protection};
+
+use crate::{netfilter, table6};
 
 /// One emitted census: a table for stdout and a JSON document.
 #[derive(Debug, Clone)]
@@ -226,6 +239,80 @@ pub fn checksum_census() -> Census {
     Census { name: "checksum", text, json: json_doc("checksum", "ns_per_kb", &rows) }
 }
 
+/// The GraftVM census: ns per retired instruction on the instrumented
+/// Table 6 graft encrypting 8 KB, with no plane and with every plane
+/// the VM reports to, and ns per `vm.sfi` record in a 128-record
+/// trace batch, measured in host time.
+pub fn vm_census() -> Census {
+    const RUNS: u64 = 40;
+    const BATCH: u64 = 128;
+    let clock = VirtualClock::new();
+    let src = assemble_table6();
+    let bare = table6_ns_per_instr(&clock, Planes::new(Rc::clone(&clock)), &src, RUNS);
+    let planes = Planes::new(Rc::clone(&clock));
+    planes.attach_fault(FaultPlane::seeded(0)).expect("fresh planes");
+    planes.attach_trace(TracePlane::with_capacity(Rc::clone(&clock), 1 << 12)).expect("fresh");
+    planes.attach_metrics(MetricsPlane::new(Rc::clone(&clock))).expect("fresh planes");
+    planes.attach_profile(ProfilePlane::new(Rc::clone(&clock))).expect("fresh planes");
+    let planed = table6_ns_per_instr(&clock, planes, &src, RUNS);
+    let tp = TracePlane::with_capacity(Rc::clone(&clock), 1 << 12);
+    let batch: Vec<(Cycles, TraceEvent)> = (0..BATCH)
+        .map(|pc| (Cycles(pc), TraceEvent::SfiCheck { kind: SfiKind::Clamp, pc }))
+        .collect();
+    let record =
+        ns_per_op(20_000, || std::hint::black_box(&tp).emit_stamped(&batch)) / BATCH as f64;
+    let ops = [
+        ("table6_bare_ns_per_instr", bare),
+        ("table6_planes_ns_per_instr", planed),
+        ("sfi_batch_ns_per_record", record),
+    ];
+    let mut text = String::from("op                         | ns (host wall clock)\n---------------------------+---------------------\n");
+    let mut rows = Vec::new();
+    for (op, ns) in &ops {
+        text.push_str(&format!("{op:<26} | {ns:.2}\n"));
+        rows.push(vec![("op", json_str(op)), ("ns", format!("{ns:.2}"))]);
+    }
+    Census { name: "vm", text, json: json_doc("vm", "ns", &rows) }
+}
+
+/// The MiSFIT-instrumented Table 6 encryption graft.
+fn assemble_table6() -> vino_vm::isa::Program {
+    let raw = vino_vm::assemble("table6", table6::ENCRYPT_GRAFT_SRC, &hostfn::symbols())
+        .expect("the Table 6 graft assembles");
+    instrument(&raw).expect("the Table 6 graft instruments").0
+}
+
+/// Host ns per retired instruction of `prog` encrypting 8 KB on a VM
+/// bound to `planes` (a profile plane gets the graft registered).
+fn table6_ns_per_instr(
+    clock: &Rc<VirtualClock>,
+    planes: Planes,
+    prog: &vino_vm::isa::Program,
+    runs: u64,
+) -> f64 {
+    let payload = table6::PAYLOAD as u64;
+    let mem = AddressSpace::new(32 * 1024, 64, Protection::Sfi);
+    let base = mem.seg_base();
+    let mut vm = Vm::new(mem);
+    let ptag = planes.profile().map(|pp| {
+        let tag = pp.tag("table6");
+        pp.register_program(tag, prog.instrs.len());
+        tag
+    });
+    vm.bind(planes, ptag);
+    vm.load(prog.clone());
+    let mut instrs = 0;
+    let ns = ns_per_op(runs, || {
+        vm.reset();
+        vm.regs[1..4].copy_from_slice(&[base + 4096, base + 4096 + payload, payload]);
+        let mut fuel = u64::MAX;
+        let exit = std::hint::black_box(&mut vm).run(&mut NullKernel, clock, &mut fuel);
+        assert_eq!(exit, Exit::Halted(0), "the Table 6 graft halts");
+        instrs = vm.stats.instrs;
+    });
+    ns / instrs as f64
+}
+
 /// One window-sweep row over a lossy wire, drained to convergence in
 /// deterministic virtual time.
 fn repl_window_row(seed: u64, steps: usize, window: u64) -> (u64, u64, u64, u64, u64) {
@@ -268,13 +355,14 @@ pub fn repl_window_census(seed: u64, steps: usize) -> Census {
     Census { name: "repl_window", text, json: json_doc("repl_window", "records", &rows) }
 }
 
-/// Runs all four censuses.
+/// Runs all five censuses.
 pub fn run_all(reps: usize, seed: u64, steps: usize) -> Vec<Census> {
     vec![
         netfilter_census(reps),
         planes_census(),
         repl_window_census(seed, steps),
         checksum_census(),
+        vm_census(),
     ]
 }
 
@@ -332,6 +420,14 @@ mod tests {
         assert_measures_every_op(
             &checksum_census(),
             &["checksum64_data_block", "checksum64_zero_block", "checksum64_x2_block_pair"],
+        );
+    }
+
+    #[test]
+    fn vm_census_measures_every_row() {
+        assert_measures_every_op(
+            &vm_census(),
+            &["table6_bare_ns_per_instr", "table6_planes_ns_per_instr", "sfi_batch_ns_per_record"],
         );
     }
 

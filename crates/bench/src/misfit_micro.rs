@@ -47,7 +47,8 @@ fn run_cycles(prog: &Program, prot: Protection, seg: usize) -> (u64, u64) {
     let mut vm = Vm::new(mem);
     vm.regs[1] = base;
     let mut fuel = 10_000_000;
-    let exit = vm.run(prog, &mut NullKernel, &Rc::clone(&clock), &mut fuel);
+    vm.load(prog.clone());
+    let exit = vm.run(&mut NullKernel, &Rc::clone(&clock), &mut fuel);
     assert!(matches!(exit, vino_vm::interp::Exit::Halted(_)), "{exit:?}");
     (clock.now().get(), vm.stats.loads + vm.stats.stores)
 }

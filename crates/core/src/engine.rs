@@ -416,7 +416,7 @@ pub struct GraftInstance {
     /// Graft name (from the signed image).
     pub name: String,
     engine: Rc<GraftEngine>,
-    program: Program,
+    /// The graft's execution context, which owns its program.
     vm: Vm,
     thread: ThreadId,
     /// The graft's resource principal (zero limits at install; §3.2).
@@ -474,11 +474,12 @@ impl GraftInstance {
             pp.register_program(ptag, program.instrs.len());
             ptag
         });
+        let name = program.name.clone();
         let mut vm = Vm::new(mem);
         vm.bind(obs.clone(), ptag);
-        // Split the program into straight-line runs once, here, so no
+        // Decode the program into runs once, here, so no
         // invocation or window pays for decoding.
-        vm.predecode(&program);
+        vm.load(program);
         // Watch plane: count the install and pre-create the blamed
         // principal's window slot now, while allocation is permitted.
         let blame = engine.rm.borrow().blame_target(principal);
@@ -487,9 +488,8 @@ impl GraftInstance {
             wp.observe_install(blame.0);
         });
         GraftInstance {
-            name: program.name.clone(),
+            name,
             engine,
-            program,
             vm,
             thread,
             principal,
@@ -687,7 +687,7 @@ impl GraftInstance {
         let mut slices = 0u32;
         loop {
             let mut fuel = vino_sched::Scheduler::timeslice_fuel();
-            match self.vm.run(&self.program, host, &self.engine.clock, &mut fuel) {
+            match self.vm.run(host, &self.engine.clock, &mut fuel) {
                 Exit::Halted(result) => return Ok(result),
                 Exit::Preempted => {
                     self.stats.preemptions += 1;

@@ -322,7 +322,8 @@ mod tests {
         vm.regs[4] = args[3];
         let clock = VirtualClock::new();
         let mut fuel = 1_000_000;
-        match vm.run(&prog, &mut NullKernel, &clock, &mut fuel) {
+        vm.load(prog);
+        match vm.run(&mut NullKernel, &clock, &mut fuel) {
             Exit::Halted(v) => v,
             other => panic!("{other:?}"),
         }
@@ -408,7 +409,8 @@ mod tests {
         vm.regs[1] = base;
         let clock = VirtualClock::new();
         let mut fuel = 10_000;
-        assert_eq!(vm.run(&prog, &mut NullKernel, &clock, &mut fuel), Exit::Halted(1235));
+        vm.load(prog);
+        assert_eq!(vm.run(&mut NullKernel, &clock, &mut fuel), Exit::Halted(1235));
     }
 
     #[test]
@@ -475,8 +477,9 @@ mod tests {
         vm.regs[1] = 0;
         let clock = VirtualClock::new();
         let mut fuel = 1000;
+        vm.load(prog);
         assert!(matches!(
-            vm.run(&prog, &mut NullKernel, &clock, &mut fuel),
+            vm.run(&mut NullKernel, &clock, &mut fuel),
             Exit::Trapped(vino_vm::interp::Trap::DivByZero)
         ));
     }
@@ -506,6 +509,7 @@ mod tests {
         vm.regs[2] = 10;
         let clock = VirtualClock::new();
         let mut fuel = 100_000;
-        assert_eq!(vm.run(&inst, &mut NullKernel, &clock, &mut fuel), Exit::Halted(45));
+        vm.load(inst);
+        assert_eq!(vm.run(&mut NullKernel, &clock, &mut fuel), Exit::Halted(45));
     }
 }

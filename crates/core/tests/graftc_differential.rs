@@ -102,7 +102,8 @@ fn run_compiled(prog: &vino_vm::isa::Program, a: u64, b: u64) -> Option<u64> {
     vm.regs[2] = b;
     let clock = VirtualClock::new();
     let mut fuel = 1_000_000;
-    match vm.run(prog, &mut NullKernel, &clock, &mut fuel) {
+    vm.load(prog.clone());
+    match vm.run(&mut NullKernel, &clock, &mut fuel) {
         Exit::Halted(v) => Some(v),
         Exit::Trapped(vino_vm::interp::Trap::DivByZero) => None,
         other => panic!("unexpected exit: {other:?}"),

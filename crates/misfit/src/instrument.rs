@@ -171,31 +171,11 @@ fn check_source(prog: &Program) -> Result<(), InstrumentError> {
         if matches!(i, Instr::Clamp { .. } | Instr::CheckCall { .. }) {
             return Err(InstrumentError::UnexpectedPseudoOp { pc });
         }
-        if uses_reg(i, SANDBOX_REG) {
+        if i.regs().contains(&Some(SANDBOX_REG)) {
             return Err(InstrumentError::ReservedRegister { pc });
         }
     }
     Ok(())
-}
-
-fn uses_reg(i: &Instr, r: Reg) -> bool {
-    match *i {
-        Instr::Const { d, .. } => d == r,
-        Instr::Mov { d, s } => d == r || s == r,
-        Instr::Alu { d, a, b, .. } => d == r || a == r || b == r,
-        Instr::AluI { d, a, .. } => d == r || a == r,
-        Instr::LoadW { d, addr, .. } | Instr::LoadB { d, addr, .. } => d == r || addr == r,
-        Instr::StoreW { s, addr, .. } | Instr::StoreB { s, addr, .. } => s == r || addr == r,
-        Instr::Br { a, b, .. } => a == r || b == r,
-        Instr::CallI { target } => target == r,
-        Instr::Halt { result } => result == r,
-        Instr::Clamp { r: c } | Instr::CheckCall { r: c } => c == r,
-        Instr::Jmp { .. }
-        | Instr::Call { .. }
-        | Instr::CallLocal { .. }
-        | Instr::Ret
-        | Instr::Nop => false,
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +192,8 @@ mod tests {
         let mut vm = Vm::new(mem);
         let clock = VirtualClock::new();
         let mut fuel = 1_000_000;
-        let exit = vm.run(prog, &mut NullKernel, &clock, &mut fuel);
+        vm.load(prog.clone());
+        let exit = vm.run(&mut NullKernel, &clock, &mut fuel);
         (exit, vm, clock)
     }
 

@@ -90,7 +90,8 @@ fn processed_hostile_programs_cannot_corrupt_kernel() {
         vm.mem.kernel_bytes_mut(0, 8).unwrap().copy_from_slice(b"SENTINEL");
         let clock = VirtualClock::new();
         let mut fuel = 20_000;
-        let exit = vm.run(&loaded, &mut NullKernel, &clock, &mut fuel);
+        vm.load(loaded.clone());
+        let exit = vm.run(&mut NullKernel, &clock, &mut fuel);
         // No memory fault may escape the sandbox. ForbiddenCall/WildJump
         // traps are fine (the point of CheckCall); so is preemption.
         if let Exit::Trapped(Trap::Mem(e)) = &exit {
@@ -148,7 +149,8 @@ fn instrumentation_preserves_tame_programs() {
         let mut vm_raw = Vm::new(AddressSpace::new(4096, 0, Protection::Unprotected));
         let clock: Rc<VirtualClock> = VirtualClock::new();
         let mut fuel = 1_000_000;
-        let raw = vm_raw.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        vm_raw.load(prog.clone());
+        let raw = vm_raw.run(&mut NullKernel, &clock, &mut fuel);
         assert_eq!(raw, Exit::Halted(expected));
 
         // Instrumented execution.
@@ -158,7 +160,8 @@ fn instrumentation_preserves_tame_programs() {
         assert_eq!(stats.mem_accesses, 2 * vals.len());
         let mut vm_sfi = Vm::new(AddressSpace::new(4096, 0, Protection::Sfi));
         let mut fuel = 1_000_000;
-        let sfi = vm_sfi.run(&inst, &mut NullKernel, &clock, &mut fuel);
+        vm_sfi.load(inst.clone());
+        let sfi = vm_sfi.run(&mut NullKernel, &clock, &mut fuel);
         assert_eq!(sfi, Exit::Halted(expected));
     }
 }

@@ -315,13 +315,6 @@ impl FaultPlane {
         true
     }
 
-    /// Takes back `n` visits recorded by
-    /// [`record_quiet_visits`](Self::record_quiet_visits) that the
-    /// caller did not reach after all (a run cut short by a trap).
-    pub fn return_quiet_visits(&self, site: FaultSite, n: u64) {
-        self.sites.borrow_mut()[site as usize].visits -= n;
-    }
-
     /// Caps the plane-wide injection count: the first `cap` would-be
     /// injections fire, every later one is suppressed. `None` lifts the
     /// cap. See [`fire`](Self::fire) for the prefix-identity guarantee.
@@ -454,9 +447,8 @@ mod tests {
         assert_eq!(p.quiet_visits(FaultSite::VmTrap), 4);
         assert!(!p.record_quiet_visits(FaultSite::VmTrap, 5), "visit 5 can fire");
         assert_eq!(p.visits(FaultSite::VmTrap), 0, "a refused bulk record records nothing");
-        assert!(p.record_quiet_visits(FaultSite::VmTrap, 4));
-        assert_eq!(p.quiet_visits(FaultSite::VmTrap), 0);
-        p.return_quiet_visits(FaultSite::VmTrap, 1);
+        assert!(p.record_quiet_visits(FaultSite::VmTrap, 3));
+        assert_eq!(p.quiet_visits(FaultSite::VmTrap), 1);
         assert_eq!(p.visits(FaultSite::VmTrap), 3);
         assert!(!p.fire(FaultSite::VmTrap));
         assert!(p.fire(FaultSite::VmTrap), "the one-shot still lands on visit 5");

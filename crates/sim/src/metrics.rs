@@ -59,7 +59,7 @@ named_enum! {
     /// counters and trace agree by construction. Two groups have no
     /// derived twin:
     ///
-    /// - **Bulk-billed by the VM** once per straight-line run:
+    /// - **Bulk-billed by the VM** once per run:
     ///   [`Counter::VmWindows`], [`Counter::SfiClamps`] and
     ///   [`Counter::SfiCallchecks`] (their `vm.window` / `vm.sfi` events
     ///   map to no counter, keeping a bump off every SFI check).
@@ -546,7 +546,7 @@ impl MetricsPlane {
         use TraceEvent as E;
         let c = match *ev {
             // The VM bills `VmWindows`, `SfiClamps` and `SfiCallchecks`
-            // once per straight-line run; deriving them here would put
+            // once per run; deriving them here would put
             // a counter bump back on every `vm.sfi` emit (thousands per
             // graft invocation).
             E::VmWindow { .. } | E::SfiCheck { .. } => return,

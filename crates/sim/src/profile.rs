@@ -314,7 +314,7 @@ impl ProfilePlane {
     /// to the bracketed attribution and the current call-tree node.
     /// The per-PC ledger is left to
     /// [`record_pc_hits`](Self::record_pc_hits). The VM calls this once
-    /// per straight-line stretch instead of [`record_pc`](Self::record_pc)
+    /// per stretch of runs instead of [`record_pc`](Self::record_pc)
     /// per instruction, always before the call tree or the innermost
     /// bracket can change. Zero-allocation.
     pub fn charge_retired(&self, tag: ProfTag, graft: Cycles, sfi: Cycles, instrs: u64) {

@@ -953,6 +953,37 @@ impl TracePlane {
         }
     }
 
+    /// Appends `batch` in order under the causal context in force, each
+    /// event with the stamp it carries: one ring borrow for the whole
+    /// batch and one stats update per run of same-category events.
+    /// Leaves the plane exactly as emitting each event with the clock at
+    /// its stamp would — sequence numbers, per-category counts and
+    /// evictions included. The GraftVM hands its `vm.sfi` records over
+    /// this way, stamped from the run's static costs. Zero-allocation.
+    pub fn emit_stamped(&self, batch: &[(Cycles, TraceEvent)]) {
+        let Some((_, head)) = batch.first() else { return };
+        let ctx = self.cur_ctx.get();
+        let first = self.seq.get();
+        // Count each stretch of one category at once: batches are
+        // usually all one category.
+        let (mut cat, mut same, mut dropped) = (head.category() as usize, 0, 0);
+        let mut ring = self.ring.borrow_mut();
+        for (seq, &(at, event)) in (first..).zip(batch) {
+            let c = event.category() as usize;
+            if c != cat {
+                self.stats.add(cat, same);
+                (cat, same) = (c, 0);
+            }
+            same += 1;
+            dropped += u64::from(ring.push(TraceRecord { seq, at, ctx, event }));
+        }
+        drop(ring);
+        self.stats.add(cat, same);
+        self.stats.add(STAT_TOTAL, batch.len() as u64);
+        self.stats.add(STAT_DROPPED, dropped);
+        self.seq.set(first + batch.len() as u64);
+    }
+
     /// Lifetime counters.
     pub fn stats(&self) -> TraceStats {
         TraceStats::from_slots(self.stats.load())
@@ -1327,6 +1358,33 @@ mod tests {
         let s = p.stats();
         assert_eq!(s.total, 10);
         assert_eq!(s.dropped, 6);
+    }
+
+    #[test]
+    fn stamped_batch_matches_one_emit_per_stamp_across_a_wrap() {
+        // Two records already in a five-slot ring, then a seven-record
+        // batch: the ring wraps mid-batch.
+        let batch: Vec<(Cycles, TraceEvent)> = (0..7u64)
+            .map(|i| {
+                let kind = if i % 3 == 0 { SfiKind::CheckCall } else { SfiKind::Clamp };
+                (Cycles(40 + 3 * i), TraceEvent::SfiCheck { kind, pc: i })
+            })
+            .collect();
+        let (one, batched) = (plane(5), plane(5));
+        for p in [&one, &batched] {
+            p.emit(TraceEvent::FsRead { fd: 1, len: 8 });
+            p.emit(TraceEvent::FsWrite { fd: 1, len: 8 });
+            p.set_ctx(p.mint_span(SpanId::NONE));
+        }
+        for &(at, ev) in &batch {
+            one.clock().advance_to(at);
+            one.emit(ev);
+        }
+        batched.emit_stamped(&batch);
+        assert_eq!(batched.records(), one.records());
+        assert_eq!(batched.stats(), one.stats());
+        assert_eq!((batched.stats().dropped, batched.len()), (4, 9));
+        assert_eq!(batched.serialize(), one.serialize());
     }
 
     #[test]

@@ -9,30 +9,64 @@
 //! Table 1 ("Grafts must be preemptible") is implemented: a graft with
 //! `while (1);` gets exactly its timeslice and no more (§2.2).
 //!
-//! # Runs and plane billing
+//! # Runs and settling
 //!
-//! [`Vm::predecode`] splits the program once, at install, into
-//! straight-line *runs*: from any pc to the first `jmp`, `br`, `call`,
-//! `calli`, `calll`, `ret` or `halt` (or the program end). The
-//! interpreter enters one run at a time and bills the observability
-//! planes per run, not per retired instruction:
+//! [`Vm::load`] takes the program and splits it once, at install, into
+//! *runs*: from any pc to the first `jmp`, `call`, `calli`, `calll`,
+//! `ret` or `halt` (or the program end). A conditional `br` stays
+//! inside its run; taken, it leaves the run early. The VM owns the
+//! program it decoded, so a run table never outlives the code it
+//! describes. For each pc the table keeps the static cost of everything
+//! before it — cycles, the [`Component::Sfi`] share, and the clamp,
+//! checkcall, load and store counts — so any stretch of a run costs one
+//! subtraction.
 //!
-//! - **Clock and trace** stay per instruction: each instruction charges
-//!   the clock as it retires, so `vm.sfi` trace records keep their exact
-//!   stamps.
-//! - **Metrics and profile attribution** accumulate in the VM and are
-//!   flushed before every host call (`call`/`calli`, which may open a
+//! The interpreter enters one run at a time and *settles* it once, where
+//! it leaves the run: a trap, a fuel cut, a taken branch, the run's
+//! end, or just before the side effect of a closing `call`, `calli`,
+//! `calll` or `ret`. A jump back to the run's entry does not leave it:
+//! the run starts another *lap*, and laps that all jump back from the
+//! same pc are settled together, as a count. Settling charges the
+//! clock, holds the cycles for the metrics and profile planes, and
+//! bumps [`RunStats`]:
+//!
+//! - **Clock.** Nothing inside a run reads the clock, so charging it
+//!   where the run is left puts every host call and every later event at
+//!   the cycle per-instruction charging would.
+//! - **`vm.sfi` records** are stamped with the clock at run entry plus
+//!   the static cost of the laps retired so far and of the current lap
+//!   up to and including the check, and buffered in the VM. The buffer
+//!   goes to the trace plane as one
+//!   [`TracePlane::emit_stamped`](vino_sim::trace::TracePlane::emit_stamped)
+//!   batch before every host call, at window end, and whenever it fills. Nothing else emits inside a run, so
+//!   sequence numbers, causal contexts, ring evictions and per-category
+//!   stats match emitting each check as it retires. The trace plane must
+//!   stamp from the clock the VM charges, as it does in every kernel.
+//! - **Metrics and profile attribution** are flushed from the held
+//!   cycles before every host call (`call`/`calli`, which may open a
 //!   nested invocation bracket), before the profile call tree moves
 //!   (`calll`/`ret`), and at window end. SFI counters are flushed from
 //!   the [`RunStats`] deltas at the same points.
 //! - **The per-PC profile ledger** is folded at window end from run
-//!   entry and cut-short counts, using each pc's static cost.
-//! - **Fault visits**: a run whose [`FaultSite::VmTrap`] visits cannot
-//!   fire (no rate set, the next armed one-shot lies beyond it) records
-//!   them in bulk up front and returns the ones a trap left unreached.
-//!   Any other run calls [`vino_sim::FaultPlane::fire`] before each instruction,
-//!   exactly as a per-instruction interpreter would, so the RNG draw
-//!   order never changes.
+//!   entry and cut-short counts (fuel, trap or taken branch, a lap
+//!   counting as an entry), using each pc's static cost.
+//! - **Sandboxed accesses.** MiSFIT's `mov s, a; clamp s; <load/store>
+//!   [s+off]` triple is predecoded into one op and dispatched once
+//!   whenever the run's budget (fuel and reserved fault visits) covers
+//!   all three instructions.
+//! - **Fault visits**: each window reserves the [`FaultSite::VmTrap`]
+//!   visits that cannot fire (all of them with no rate set, else those
+//!   before the next armed one-shot). A run whose first lap fits the
+//!   reserve takes one visit from it per instruction it retires, laps
+//!   included, and stops where the reserve ends. The visits taken are
+//!   recorded on the fault plane before every host call, which may read
+//!   or arm it, and at window end. Any other run goes to the
+//!   per-instruction driver, which calls
+//!   [`vino_sim::FaultPlane::fire`] before each instruction, exactly as a
+//!   per-instruction interpreter would, so the RNG draw order never
+//!   changes. That driver also settles and emits each instruction on its
+//!   own and runs no fused ops and no laps, which makes it the block
+//!   driver's differential oracle.
 //!
 //! Every cycle total, counter, ledger and trace record is therefore the
 //! same as billing each instruction individually; only host time drops.
@@ -47,7 +81,7 @@ use vino_sim::profile::ProfTag;
 use vino_sim::trace::{SfiKind, TraceEvent, VmExitKind};
 use vino_sim::{Cycles, VirtualClock};
 
-use crate::isa::{AluOp, Cond, HostFnId, Instr, Program};
+use crate::isa::{AluOp, Cond, HostFnId, Instr, Program, Reg};
 use crate::mem::{AddressSpace, MemError};
 
 /// Why a graft stopped abnormally.
@@ -205,13 +239,13 @@ fn cost_of(instr: Instr) -> (Component, u64) {
     }
 }
 
-/// True if `instr` ends a straight-line run: it may transfer control
-/// or call out of the VM.
+/// True if `instr` ends a run: it always transfers control or calls
+/// out of the VM. A conditional branch does not end its run; when
+/// taken it leaves the run early, as a trap does.
 fn ends_run(instr: Instr) -> bool {
     matches!(
         instr,
         Instr::Jmp { .. }
-            | Instr::Br { .. }
             | Instr::Call { .. }
             | Instr::CallI { .. }
             | Instr::CallLocal { .. }
@@ -231,26 +265,60 @@ struct PcInfo {
     cost: u64,
     /// Runs entered at this pc since the last fold.
     entries: u64,
-    /// Runs that stopped at this pc short of their end (fuel or trap).
+    /// Runs that stopped at this pc short of their end (fuel, trap or
+    /// taken branch).
     cuts: u64,
 }
 
-/// A program's run table (see [`Vm::predecode`]).
-#[derive(Debug, Default)]
+/// The static cost of a program prefix: entry `pc` of [`Decoded::cum`]
+/// sums instructions `0..pc`, so a stretch `from..to` of a run costs
+/// `cum[to] - cum[from]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cum {
+    cycles: u64,
+    /// The [`Component::Sfi`] share of `cycles`.
+    sfi: u64,
+    clamps: u32,
+    checkcalls: u32,
+    loads: u32,
+    stores: u32,
+}
+
+/// One predecoded instruction for the block driver.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// An instruction executed as written.
+    One(Instr),
+    /// The head of MiSFIT's sandboxed access `mov s, a; clamp s;
+    /// access` (`access` addresses through `s`), dispatched as one op
+    /// when the run's budget covers all three instructions and as the
+    /// plain `mov` otherwise.
+    Sandboxed { s: Reg, a: Reg, access: Instr },
+}
+
+/// A program's run table (see [`Vm::load`]).
+#[derive(Debug)]
 struct Decoded {
-    /// The decoded program's identity: instruction buffer address and
-    /// length.
-    key: (usize, usize),
+    ops: Vec<Op>,
+    /// One entry per pc plus one for the program end.
+    cum: Vec<Cum>,
     pcs: Vec<PcInfo>,
     /// Pcs `lo..=hi` may hold unfolded tallies (empty when `lo > hi`).
     lo: usize,
     hi: usize,
 }
 
+impl Default for Decoded {
+    /// The empty program's table, which no run ever indexes.
+    fn default() -> Decoded {
+        Decoded { ops: Vec::new(), cum: Vec::new(), pcs: Vec::new(), lo: usize::MAX, hi: 0 }
+    }
+}
+
 impl Decoded {
     fn new(prog: &Program) -> Decoded {
-        let mut pcs: Vec<PcInfo> = prog
-            .instrs
+        let instrs = &prog.instrs;
+        let mut pcs: Vec<PcInfo> = instrs
             .iter()
             .map(|&i| {
                 let (comp, cost) = cost_of(i);
@@ -258,19 +326,48 @@ impl Decoded {
             })
             .collect();
         for pc in (0..pcs.len().saturating_sub(1)).rev() {
-            if !ends_run(prog.instrs[pc]) {
+            if !ends_run(instrs[pc]) {
                 pcs[pc].run = pcs[pc + 1].run + 1;
             }
         }
-        Decoded { key: Decoded::key_of(prog), pcs, lo: usize::MAX, hi: 0 }
-    }
-
-    fn key_of(prog: &Program) -> (usize, usize) {
-        (prog.instrs.as_ptr() as usize, prog.instrs.len())
+        let mut acc = Cum::default();
+        let mut cum = vec![acc];
+        for (&i, info) in instrs.iter().zip(&pcs) {
+            acc.cycles += info.cost;
+            if info.comp == Component::Sfi {
+                acc.sfi += info.cost;
+            }
+            match i {
+                Instr::Clamp { .. } => acc.clamps += 1,
+                Instr::CheckCall { .. } => acc.checkcalls += 1,
+                Instr::LoadW { .. } | Instr::LoadB { .. } => acc.loads += 1,
+                Instr::StoreW { .. } | Instr::StoreB { .. } => acc.stores += 1,
+                _ => {}
+            }
+            cum.push(acc);
+        }
+        // Mov and clamp never end a run, so a triple lies in one run.
+        let ops = (0..instrs.len())
+            .map(|pc| match instrs[pc..] {
+                [Instr::Mov { d: s, s: a }, Instr::Clamp { r }, access, ..]
+                    if r == s && access.mem_addr_reg() == Some(s) =>
+                {
+                    Op::Sandboxed { s, a, access }
+                }
+                _ => Op::One(instrs[pc]),
+            })
+            .collect();
+        Decoded { ops, cum, pcs, lo: usize::MAX, hi: 0 }
     }
 }
 
-/// A graft execution context: registers, pc, local call stack and memory.
+/// `vm.sfi` records the VM buffers before handing them to the trace
+/// plane in one batch. The buffer grows to this size on first use and
+/// never beyond it, so a graft that checks little allocates little.
+const SFI_BATCH: usize = 128;
+
+/// A graft execution context: registers, pc, local call stack and
+/// memory, plus the program it runs.
 #[derive(Debug)]
 pub struct Vm {
     /// The register file, `r0..=r15`.
@@ -284,13 +381,22 @@ pub struct Vm {
     /// Per-run counters.
     pub stats: RunStats,
     cfg: VmConfig,
+    /// The program [`run`](Self::run) executes and its run table, always
+    /// decoded together.
+    prog: Program,
+    decoded: Decoded,
     /// The planes bound at install (inline: this is the per-instruction
     /// path).
     obs: Planes,
     /// This graft's profile tag; `Some` only when `obs` has a profile
     /// plane.
     ptag: Option<ProfTag>,
-    decoded: Decoded,
+    /// The first pc of the current run not yet settled.
+    settled: usize,
+    /// Whole laps of the current run retired but not settled: each ran
+    /// from `settled` to `lap_end` and jumped back to `settled`.
+    laps: u64,
+    lap_end: usize,
     /// [`Component::GraftFn`] cycles charged to the clock but not yet
     /// to the metrics and profile planes.
     pending_fn: u64,
@@ -298,10 +404,19 @@ pub struct Vm {
     pending_sfi: u64,
     /// `stats` as of the last flush to the planes (or the window start).
     flushed: RunStats,
+    /// Stamped `vm.sfi` records not yet handed to the trace plane.
+    sfi_batch: Vec<(Cycles, TraceEvent)>,
+    /// [`FaultSite::VmTrap`] visits that cannot fire, as of `mark`.
+    quiet: u64,
+    /// `stats.instrs` when the fault plane last recorded this VM's
+    /// visits: every instruction the block driver settled since then
+    /// took one of the `quiet` visits without asking the plane.
+    mark: u64,
 }
 
 impl Vm {
-    /// Creates a context over `mem` with default configuration.
+    /// Creates a context over `mem` with default configuration and no
+    /// program loaded.
     pub fn new(mem: AddressSpace) -> Vm {
         Vm::with_config(mem, VmConfig::default())
     }
@@ -315,12 +430,19 @@ impl Vm {
             mem,
             stats: RunStats::default(),
             cfg,
+            prog: Program::default(),
+            decoded: Decoded::default(),
             obs: Planes::default(),
             ptag: None,
-            decoded: Decoded::default(),
+            settled: 0,
+            laps: 0,
+            lap_end: 0,
             pending_fn: 0,
             pending_sfi: 0,
             flushed: RunStats::default(),
+            sfi_batch: Vec::new(),
+            quiet: 0,
+            mark: 0,
         }
     }
 
@@ -336,33 +458,69 @@ impl Vm {
         self.obs = obs;
     }
 
-    /// Builds `prog`'s run table: per pc, the length of its straight-line
-    /// run plus the static cost and component of the instruction. The
-    /// grafting layer calls this once at install; [`run`](Self::run)
-    /// decodes on its own only when handed a program other than the one
-    /// last decoded (matched by instruction buffer and length).
-    pub fn predecode(&mut self, prog: &Program) {
-        self.decoded = Decoded::new(prog);
+    /// Loads `prog` for [`run`](Self::run) and builds its run table: per
+    /// pc, the length of its run, its static cost, and the
+    /// fused form of each MiSFIT sandboxed access. The grafting layer
+    /// loads once, at install, so no invocation or window pays for
+    /// decoding.
+    pub fn load(&mut self, prog: Program) {
+        self.decoded = Decoded::new(&prog);
+        self.prog = prog;
     }
 
-    /// Charges `cost` to the clock and holds it for the metrics and
-    /// profile planes, which receive it at the next
-    /// [`flush`](Self::flush). Called first in every [`step`](Self::step).
-    fn bill(&mut self, clock: &Rc<VirtualClock>, comp: Component, cost: u64) {
-        clock.charge(Cycles(cost));
-        if comp == Component::Sfi {
-            self.pending_sfi += cost;
-        } else {
-            self.pending_fn += cost;
+    /// The loaded program.
+    pub fn program(&self) -> &Program {
+        &self.prog
+    }
+
+    /// Edits the loaded program in place and decodes it again.
+    pub fn edit(&mut self, f: impl FnOnce(&mut Program)) {
+        f(&mut self.prog);
+        self.decoded = Decoded::new(&self.prog);
+    }
+
+    /// Settles the current run through pc `to`: bills its unsettled laps
+    /// and then `settled..to`.
+    #[inline(always)]
+    fn settle(&mut self, clock: &VirtualClock, to: usize) {
+        let laps = std::mem::take(&mut self.laps);
+        if laps > 0 {
+            self.bill(clock, self.settled, self.lap_end, laps);
         }
+        self.bill(clock, self.settled, to, 1);
+        self.settled = to;
+        self.lap_end = to;
     }
 
-    /// Hands the held cycles and the SFI check counts retired since the
-    /// last flush to the metrics plane and the profile plane's current
-    /// call-tree node. Runs wherever the innermost invocation bracket or
-    /// the call tree may change next: before host calls, before
-    /// `calll`/`ret` move the call tree, and at window end.
+    /// Bills `times` retirements of pcs `from..to` at their static cost:
+    /// charges the clock, holds the cycles for the metrics and profile
+    /// planes (which receive them at the next [`flush`](Self::flush)),
+    /// and counts them in [`RunStats`].
+    #[inline(always)]
+    fn bill(&mut self, clock: &VirtualClock, from: usize, to: usize, times: u64) {
+        let (was, now) = (self.decoded.cum[from], self.decoded.cum[to]);
+        let (cycles, sfi) = (times * (now.cycles - was.cycles), times * (now.sfi - was.sfi));
+        clock.charge(Cycles(cycles));
+        self.pending_sfi += sfi;
+        self.pending_fn += cycles - sfi;
+        let s = &mut self.stats;
+        s.instrs += times * (to - from) as u64;
+        s.clamps += times * u64::from(now.clamps - was.clamps);
+        s.checkcalls += times * u64::from(now.checkcalls - was.checkcalls);
+        s.loads += times * u64::from(now.loads - was.loads);
+        s.stores += times * u64::from(now.stores - was.stores);
+    }
+
+    /// Hands everything held to the planes: the batched `vm.sfi`
+    /// records to the trace plane, and the held cycles and the SFI
+    /// check counts retired since the last flush to the metrics plane
+    /// and the profile plane's current call-tree node. Runs wherever
+    /// another emitter, the innermost invocation bracket or the call
+    /// tree may act next: before host calls, before `calll`/`ret` move
+    /// the call tree, and at window end.
     fn flush(&mut self) {
+        self.record_visits();
+        self.flush_sfi();
         let graft = std::mem::take(&mut self.pending_fn);
         let sfi = std::mem::take(&mut self.pending_sfi);
         let (now, was) = (self.stats, std::mem::replace(&mut self.flushed, self.stats));
@@ -384,28 +542,82 @@ impl Vm {
         }
     }
 
-    /// Records a `vm.sfi` event for the check at the previous pc. It
-    /// goes straight to the trace plane: `vm.sfi` derives no counter
-    /// (the SFI counters are billed per run, in [`flush`](Self::flush)),
-    /// and this is the per-instruction path.
-    #[inline(always)]
-    fn trace_sfi(&self, kind: SfiKind) {
-        if let Some(tp) = self.obs.trace() {
-            tp.emit(TraceEvent::SfiCheck { kind, pc: (self.pc - 1) as u64 });
+    /// Reserves the [`FaultSite::VmTrap`] visits that cannot fire (see
+    /// [`vino_sim::FaultPlane::quiet_visits`]) for the block driver,
+    /// which takes them without asking the fault plane. Every visit
+    /// taken is recorded before anything else can read or change the
+    /// plane ([`record_visits`](Self::record_visits)).
+    fn reserve_quiet_visits(&mut self) {
+        self.quiet = self.obs.fault().map_or(u64::MAX, |fp| fp.quiet_visits(FaultSite::VmTrap));
+        self.mark = self.stats.instrs;
+    }
+
+    /// Records the visits the block driver took since the last record:
+    /// one per instruction it settled.
+    fn record_visits(&mut self) {
+        let n = self.stats.instrs - self.mark;
+        if n == 0 {
+            return;
+        }
+        self.quiet -= n;
+        self.mark = self.stats.instrs;
+        if let Some(fp) = self.obs.fault() {
+            let recorded = fp.record_quiet_visits(FaultSite::VmTrap, n);
+            debug_assert!(recorded, "reserved visits are quiet");
         }
     }
 
-    /// Records that a run entered at `start` retired `retired`
-    /// instructions, for the per-PC fold.
-    fn note_run(&mut self, start: usize, retired: usize) {
-        if self.ptag.is_none() || retired == 0 {
+    /// Hands the batched `vm.sfi` records to the trace plane.
+    fn flush_sfi(&mut self) {
+        if let Some(tp) = self.obs.trace() {
+            if !self.sfi_batch.is_empty() {
+                tp.emit_stamped(&self.sfi_batch);
+                self.sfi_batch.clear();
+            }
+        }
+    }
+
+    /// Records a `vm.sfi` event for the check at `pc`. It goes straight
+    /// to the trace plane: `vm.sfi` derives no counter (the SFI counters
+    /// are billed per run, in [`flush`](Self::flush)). The
+    /// per-instruction driver emits it now, with the check already
+    /// charged; the block driver stamps it with the run's static cost
+    /// through `pc` and batches it.
+    #[inline(always)]
+    fn trace_sfi<const CHECKED: bool>(&mut self, kind: SfiKind, pc: usize, clock: &VirtualClock) {
+        let Some(tp) = self.obs.trace() else { return };
+        let event = TraceEvent::SfiCheck { kind, pc: pc as u64 };
+        if CHECKED {
+            tp.emit(event);
+            return;
+        }
+        let cum = &self.decoded.cum;
+        let lap = cum[self.lap_end].cycles - cum[self.settled].cycles;
+        let at =
+            clock.now().get() + self.laps * lap + cum[pc + 1].cycles - cum[self.settled].cycles;
+        let at = Cycles(at);
+        if self.sfi_batch.len() == SFI_BATCH {
+            tp.emit_stamped(&self.sfi_batch);
+            self.sfi_batch.clear();
+        }
+        self.sfi_batch.push((at, event));
+    }
+
+    /// Records, for the per-PC fold, that the run at `start` was entered
+    /// `laps` times that each left it by a jump back to `start` from just
+    /// before `lap_end`, and then once more for `last` instructions.
+    fn note_run(&mut self, start: usize, laps: u64, lap_end: usize, last: usize) {
+        if self.ptag.is_none() {
             return;
         }
         let d = &mut self.decoded;
         let run = d.pcs[start].run as usize;
-        d.pcs[start].entries += 1;
-        if retired < run {
-            d.pcs[start + retired - 1].cuts += 1;
+        d.pcs[start].entries += laps + u64::from(last > 0);
+        if laps > 0 && lap_end - start < run {
+            d.pcs[lap_end - 1].cuts += laps;
+        }
+        if last > 0 && last < run {
+            d.pcs[start + last - 1].cuts += 1;
         }
         d.lo = d.lo.min(start);
         d.hi = d.hi.max(start + run - 1);
@@ -444,25 +656,25 @@ impl Vm {
         }
     }
 
-    /// Runs until halt, trap, or fuel exhaustion.
+    /// Runs the loaded program until halt, trap, or fuel exhaustion.
     ///
     /// `fuel` is decremented once per retired instruction; when it hits
     /// zero the run returns [`Exit::Preempted`] and may be resumed by
-    /// calling `run` again with fresh fuel. All cycle costs are charged
-    /// to `clock` as they accrue.
+    /// calling `run` again with fresh fuel. Every cycle is charged to
+    /// `clock` by the time `run` returns or calls into `env`.
     pub fn run(
         &mut self,
-        prog: &Program,
         env: &mut dyn KernelApi,
         clock: &Rc<VirtualClock>,
         fuel: &mut u64,
     ) -> Exit {
-        if self.decoded.key != Decoded::key_of(prog) {
-            self.predecode(prog);
-        }
+        debug_assert!(
+            self.obs.trace().is_none_or(|tp| Rc::ptr_eq(tp.clock(), clock)),
+            "the trace plane must stamp from the clock the VM charges"
+        );
         let window_start = self.stats.instrs;
         self.flushed = self.stats;
-        let exit = self.run_window(prog, env, clock, fuel);
+        let exit = self.run_window(env, clock, fuel);
         self.flush();
         self.fold_hits();
         let instrs = self.stats.instrs - window_start;
@@ -481,102 +693,136 @@ impl Vm {
 
     fn run_window(
         &mut self,
-        prog: &Program,
         env: &mut dyn KernelApi,
         clock: &Rc<VirtualClock>,
         fuel: &mut u64,
     ) -> Exit {
-        loop {
-            if *fuel == 0 {
-                return Exit::Preempted;
+        self.reserve_quiet_visits();
+        let mut left = *fuel;
+        let exit = loop {
+            if left == 0 {
+                break Exit::Preempted;
             }
             let start = self.pc;
             let Some(info) = self.decoded.pcs.get(start) else {
-                return Exit::Trapped(Trap::PcOutOfRange { pc: start });
+                break Exit::Trapped(Trap::PcOutOfRange { pc: start });
             };
             // At least one instruction: fuel > 0 and every run is non-empty.
-            let n = (info.run as u64).min(*fuel) as usize;
-            let quiet = self
-                .obs
-                .fault()
-                .is_none_or(|fp| fp.record_quiet_visits(FaultSite::VmTrap, n as u64));
-            let (retired, exit) = if quiet {
-                self.drive::<false>(prog, n, env, clock)
+            let n = (info.run as u64).min(left);
+            let quiet = self.quiet - (self.stats.instrs - self.mark);
+            let before = self.stats.instrs;
+            let exit = if n <= quiet {
+                self.drive::<false>(left.min(quiet), env, clock)
             } else {
-                self.drive::<true>(prog, n, env, clock)
+                self.record_visits();
+                let exit = self.drive::<true>(n, env, clock);
+                self.reserve_quiet_visits();
+                exit
             };
-            *fuel -= retired as u64;
-            self.note_run(start, retired);
+            left -= self.stats.instrs - before;
             if let Some(exit) = exit {
-                return exit;
+                break exit;
             }
-        }
+        };
+        *fuel = left;
+        exit
     }
 
-    /// Executes up to `n` instructions of the run at `self.pc` and
-    /// returns how many retired, plus the exit if the run ended the
-    /// window.
+    /// Executes the run at `self.pc`, retiring at most `budget`
+    /// instructions, settles them, and returns the exit if the run ended
+    /// the window.
     ///
-    /// The block driver (`CHECKED = false`) runs after the run's `n`
-    /// [`FaultSite::VmTrap`] visits were recorded in bulk and returns
-    /// the unreached ones on an early trap. The per-instruction driver
-    /// (`CHECKED = true`) asks [`FaultPlane::fire`] before each one.
+    /// The block driver (`CHECKED = false`) runs on reserved
+    /// [`FaultSite::VmTrap`] visits and dispatches each sandboxed access
+    /// the budget covers as one op. A jump back to the run's entry
+    /// starts another *lap* of the run in the same call, as long as
+    /// every lap leaves from the same pc and the budget lasts; laps are
+    /// settled together when the run is left. The per-instruction
+    /// driver (`CHECKED = true`) asks [`FaultPlane::fire`] before each
+    /// instruction and settles it before executing it.
+    ///
+    /// [`FaultPlane::fire`]: vino_sim::FaultPlane::fire
     #[inline(always)]
     fn drive<const CHECKED: bool>(
         &mut self,
-        prog: &Program,
-        n: usize,
+        budget: u64,
         env: &mut dyn KernelApi,
         clock: &Rc<VirtualClock>,
-    ) -> (usize, Option<Exit>) {
-        for i in 0..n {
-            let Some(&instr) = prog.instrs.get(self.pc) else {
-                // Only reachable with a run table that does not match
-                // `prog`; stop as the per-instruction loop would.
-                let exit = Exit::Trapped(Trap::PcOutOfRange { pc: self.pc });
-                return self.stop_early::<CHECKED>(n, i, exit);
-            };
-            if CHECKED && self.obs.fire(FaultSite::VmTrap) {
-                return (i, Some(Exit::Trapped(Trap::Injected { pc: self.pc })));
-            }
-            self.stats.instrs += 1;
-            self.pc += 1;
-            let exit = match self.step(instr, env, clock) {
-                Ok(Flow::Continue) => continue,
-                Ok(Flow::Halt(v)) => Exit::Halted(v),
-                Err(t) => Exit::Trapped(t),
-            };
-            return self.stop_early::<CHECKED>(n, i + 1, exit);
+    ) -> Option<Exit> {
+        let start = self.pc;
+        let run = self.decoded.pcs[start].run as usize;
+        let mut end = start + run.min(budget as usize);
+        (self.settled, self.lap_end) = (start, start);
+        let (mut laps, mut lap_end) = (0u64, start);
+        if CHECKED {
+            // Records batched by an earlier block-driven run go first.
+            self.flush_sfi();
         }
-        (n, None)
+        let mut pc = start;
+        let exit = loop {
+            if pc == end {
+                break None;
+            }
+            if CHECKED {
+                if self.obs.fire(FaultSite::VmTrap) {
+                    break Some(Exit::Trapped(Trap::Injected { pc }));
+                }
+                self.settle(clock, pc + 1);
+                // `fire` recorded this visit.
+                self.mark = self.stats.instrs;
+            }
+            let op = if CHECKED { Op::One(self.prog.instrs[pc]) } else { self.decoded.ops[pc] };
+            let (next, flow) = match op {
+                Op::Sandboxed { s, a, access } if end - pc >= 3 => {
+                    self.pc = pc + 3;
+                    self.regs[s.idx()] = self.mem.clamp(self.regs[a.idx()]);
+                    self.trace_sfi::<CHECKED>(SfiKind::Clamp, pc + 1, clock);
+                    (pc + 3, self.step::<CHECKED>(access, env, clock))
+                }
+                Op::Sandboxed { s, a, .. } => {
+                    self.pc = pc + 1;
+                    (pc + 1, self.step::<CHECKED>(Instr::Mov { d: s, s: a }, env, clock))
+                }
+                Op::One(instr) => {
+                    self.pc = pc + 1;
+                    (pc + 1, self.step::<CHECKED>(instr, env, clock))
+                }
+            };
+            pc = next;
+            match flow {
+                Ok(Flow::Continue) => {}
+                Ok(Flow::Jump) => {
+                    let done = (laps + 1) * (next - start) as u64;
+                    let lap = self.pc == start && (laps == 0 || next == lap_end);
+                    if !CHECKED && lap && done < budget {
+                        (laps, lap_end) = (laps + 1, next);
+                        (self.laps, self.lap_end) = (laps, lap_end);
+                        end = start + run.min((budget - done) as usize);
+                        pc = start;
+                        continue;
+                    }
+                    break None;
+                }
+                Ok(Flow::Halt(v)) => break Some(Exit::Halted(v)),
+                Err(t) => break Some(Exit::Trapped(t)),
+            }
+        };
+        // The run is left before `pc`, in its last lap.
+        self.settle(clock, pc);
+        self.note_run(start, laps, lap_end, pc - start);
+        exit
     }
 
-    /// Ends a run of `n` planned instructions after `reached` of them:
-    /// the block driver returns the bulk-recorded fault visits it never
-    /// reached.
-    fn stop_early<const CHECKED: bool>(
-        &self,
-        n: usize,
-        reached: usize,
-        exit: Exit,
-    ) -> (usize, Option<Exit>) {
-        if !CHECKED {
-            if let Some(fp) = self.obs.fault() {
-                fp.return_quiet_visits(FaultSite::VmTrap, (n - reached) as u64);
-            }
-        }
-        (reached, Some(exit))
-    }
-
+    /// Executes one instruction; `self.pc` already points past it. Only
+    /// instructions with a side effect outside the VM settle the run
+    /// first.
     #[inline(always)]
-    fn step(
+    fn step<const CHECKED: bool>(
         &mut self,
         instr: Instr,
         env: &mut dyn KernelApi,
         clock: &Rc<VirtualClock>,
     ) -> Result<Flow, Trap> {
-        let (comp, cost) = cost_of(instr);
-        self.bill(clock, comp, cost);
         match instr {
             Instr::Const { d, imm } => {
                 self.regs[d.idx()] = imm as u64;
@@ -593,39 +839,66 @@ impl Vm {
                 self.regs[d.idx()] = r;
             }
             Instr::LoadW { d, addr, off } => {
-                self.stats.loads += 1;
                 let a = self.regs[addr.idx()].wrapping_add(off as i64 as u64);
                 self.regs[d.idx()] = self.mem.read(a, 4).map_err(Trap::Mem)?;
             }
             Instr::StoreW { s, addr, off } => {
-                self.stats.stores += 1;
                 let a = self.regs[addr.idx()].wrapping_add(off as i64 as u64);
                 self.mem.write(a, self.regs[s.idx()], 4).map_err(Trap::Mem)?;
             }
             Instr::LoadB { d, addr, off } => {
-                self.stats.loads += 1;
                 let a = self.regs[addr.idx()].wrapping_add(off as i64 as u64);
                 self.regs[d.idx()] = self.mem.read(a, 1).map_err(Trap::Mem)?;
             }
             Instr::StoreB { s, addr, off } => {
-                self.stats.stores += 1;
                 let a = self.regs[addr.idx()].wrapping_add(off as i64 as u64);
                 self.mem.write(a, self.regs[s.idx()], 1).map_err(Trap::Mem)?;
             }
             Instr::Jmp { target } => {
                 self.pc = target as usize;
+                return Ok(Flow::Jump);
             }
             Instr::Br { cond, a, b, target } => {
                 if eval_cond(cond, self.regs[a.idx()], self.regs[b.idx()]) {
                     self.pc = target as usize;
+                    return Ok(Flow::Jump);
                 }
             }
-            Instr::Call { func } => {
-                self.stats.host_calls += 1;
-                let args = [self.regs[1], self.regs[2], self.regs[3], self.regs[4]];
-                self.flush();
-                self.regs[0] = env.host_call(func, args, &mut self.mem)?;
+            Instr::Call { .. } | Instr::CallI { .. } | Instr::CallLocal { .. } | Instr::Ret => {
+                self.call_or_ret(instr, env, clock)?;
             }
+            Instr::Halt { result } => {
+                return Ok(Flow::Halt(self.regs[result.idx()]));
+            }
+            Instr::Clamp { r } => {
+                self.trace_sfi::<CHECKED>(SfiKind::Clamp, self.pc - 1, clock);
+                self.regs[r.idx()] = self.mem.clamp(self.regs[r.idx()]);
+            }
+            Instr::CheckCall { r } => {
+                self.trace_sfi::<CHECKED>(SfiKind::CheckCall, self.pc - 1, clock);
+                let id = HostFnId(self.regs[r.idx()] as u32);
+                if !env.is_callable(id) {
+                    return Err(Trap::ForbiddenCall { id });
+                }
+            }
+            Instr::Nop => {}
+        }
+        Ok(Flow::Continue)
+    }
+
+    /// Executes a run's closing `call`, `calli`, `calll` or `ret`, whose
+    /// side effects leave the VM: the run is settled and the planes are
+    /// flushed first. Kept out of line so the per-instruction dispatch
+    /// stays small.
+    #[inline(never)]
+    fn call_or_ret(
+        &mut self,
+        instr: Instr,
+        env: &mut dyn KernelApi,
+        clock: &VirtualClock,
+    ) -> Result<(), Trap> {
+        match instr {
+            Instr::Call { func } => self.host_call(func, env, clock)?,
             Instr::CallI { target } => {
                 let id = HostFnId(self.regs[target.idx()] as u32);
                 if !env.is_callable(id) {
@@ -633,15 +906,13 @@ impl Vm {
                     // MiSFIT-processed code traps earlier, in CheckCall.
                     return Err(Trap::WildJump { id });
                 }
-                self.stats.host_calls += 1;
-                let args = [self.regs[1], self.regs[2], self.regs[3], self.regs[4]];
-                self.flush();
-                self.regs[0] = env.host_call(id, args, &mut self.mem)?;
+                self.host_call(id, env, clock)?;
             }
             Instr::CallLocal { target } => {
                 if self.call_stack.len() >= self.cfg.max_call_depth {
                     return Err(Trap::CallDepthExceeded);
                 }
+                self.settle(clock, self.pc);
                 self.call_stack.push(self.pc);
                 self.pc = target as usize;
                 if self.ptag.is_some() {
@@ -652,6 +923,7 @@ impl Vm {
                 }
             }
             Instr::Ret => {
+                self.settle(clock, self.pc);
                 self.pc = self.call_stack.pop().ok_or(Trap::RetWithoutCall)?;
                 if self.ptag.is_some() {
                     self.flush();
@@ -660,30 +932,37 @@ impl Vm {
                     pp.exit_fn(tag);
                 }
             }
-            Instr::Halt { result } => {
-                return Ok(Flow::Halt(self.regs[result.idx()]));
-            }
-            Instr::Clamp { r } => {
-                self.stats.clamps += 1;
-                self.trace_sfi(SfiKind::Clamp);
-                self.regs[r.idx()] = self.mem.clamp(self.regs[r.idx()]);
-            }
-            Instr::CheckCall { r } => {
-                self.stats.checkcalls += 1;
-                self.trace_sfi(SfiKind::CheckCall);
-                let id = HostFnId(self.regs[r.idx()] as u32);
-                if !env.is_callable(id) {
-                    return Err(Trap::ForbiddenCall { id });
-                }
-            }
-            Instr::Nop => {}
+            _ => unreachable!("only calls and returns leave the VM"),
         }
-        Ok(Flow::Continue)
+        Ok(())
+    }
+
+    /// Calls kernel function `id` with `r1..=r4` into `r0`. The kernel
+    /// sees every retired cycle, `vm.sfi` record and fault visit
+    /// first, and may arm the fault plane or run another graft's VM on
+    /// it, so the quiet visits are reserved afresh after it returns.
+    fn host_call(
+        &mut self,
+        id: HostFnId,
+        env: &mut dyn KernelApi,
+        clock: &VirtualClock,
+    ) -> Result<(), Trap> {
+        self.stats.host_calls += 1;
+        let args = [self.regs[1], self.regs[2], self.regs[3], self.regs[4]];
+        self.settle(clock, self.pc);
+        self.flush();
+        let ret = env.host_call(id, args, &mut self.mem);
+        self.reserve_quiet_visits();
+        self.regs[0] = ret?;
+        Ok(())
     }
 }
 
 enum Flow {
+    /// On to the next instruction.
     Continue,
+    /// Control moved to `self.pc`, out of the run.
+    Jump,
     Halt(u64),
 }
 
@@ -727,8 +1006,9 @@ mod tests {
     fn run_prog(instrs: Vec<Instr>) -> (Exit, Vm, Rc<VirtualClock>) {
         let (mut vm, clock) = ctx();
         let prog = Program::new("t", instrs);
+        vm.load(prog);
         let mut fuel = 1_000_000;
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        let exit = vm.run(&mut NullKernel, &clock, &mut fuel);
         (exit, vm, clock)
     }
 
@@ -793,8 +1073,9 @@ mod tests {
                 Instr::Halt { result: Reg(0) },
             ],
         );
+        vm.load(prog);
         let mut fuel = 100;
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        let exit = vm.run(&mut NullKernel, &clock, &mut fuel);
         assert_eq!(exit, Exit::Halted(0x1234));
         assert_eq!(vm.stats.loads, 1);
         assert_eq!(vm.stats.stores, 1);
@@ -807,11 +1088,12 @@ mod tests {
         // preemptible (Rule 1) and resumable.
         let (mut vm, clock) = ctx();
         let prog = Program::new("spin", vec![Instr::Jmp { target: 0 }]);
+        vm.load(prog);
         let mut fuel = 100;
-        assert_eq!(vm.run(&prog, &mut NullKernel, &clock, &mut fuel), Exit::Preempted);
+        assert_eq!(vm.run(&mut NullKernel, &clock, &mut fuel), Exit::Preempted);
         assert_eq!(fuel, 0);
         let mut fuel = 50;
-        assert_eq!(vm.run(&prog, &mut NullKernel, &clock, &mut fuel), Exit::Preempted);
+        assert_eq!(vm.run(&mut NullKernel, &clock, &mut fuel), Exit::Preempted);
         assert_eq!(vm.stats.instrs, 150);
     }
 
@@ -841,8 +1123,9 @@ mod tests {
                 Instr::Halt { result: Reg(0) },
             ],
         );
+        vm.load(prog);
         let mut fuel = 100;
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        let exit = vm.run(&mut NullKernel, &clock, &mut fuel);
         assert_eq!(exit, Exit::Halted(0));
         assert_eq!(vm.mem.kernel_write_count(), 0, "clamped store must stay in segment");
         assert_eq!(vm.stats.clamps, 1);
@@ -859,8 +1142,9 @@ mod tests {
                 Instr::StoreW { s: Reg(1), addr: Reg(1), off: 0 },
             ],
         );
+        vm.load(prog);
         let mut fuel = 100;
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        let exit = vm.run(&mut NullKernel, &clock, &mut fuel);
         assert!(matches!(exit, Exit::Trapped(Trap::Mem(MemError::KernelRegion { .. }))));
     }
 
@@ -875,8 +1159,9 @@ mod tests {
                 Instr::CallI { target: Reg(5) },
             ],
         );
+        vm.load(prog);
         let mut fuel = 100;
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        let exit = vm.run(&mut NullKernel, &clock, &mut fuel);
         assert_eq!(exit, Exit::Trapped(Trap::ForbiddenCall { id: HostFnId(1234) }));
         assert_eq!(vm.stats.checkcalls, 1);
         assert_eq!(vm.stats.host_calls, 0);
@@ -922,8 +1207,9 @@ mod tests {
                 Instr::Halt { result: Reg(0) },
             ],
         );
+        vm.load(prog);
         let mut fuel = 100;
-        assert_eq!(vm.run(&prog, &mut Adder, &clock, &mut fuel), Exit::Halted(10));
+        assert_eq!(vm.run(&mut Adder, &clock, &mut fuel), Exit::Halted(10));
         assert_eq!(vm.stats.host_calls, 1);
     }
 
@@ -972,8 +1258,9 @@ mod tests {
                 Instr::Halt { result: Reg(2) },
             ],
         );
+        vm.load(prog);
         let mut fuel = 100;
-        vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        vm.run(&mut NullKernel, &clock, &mut fuel);
         vm.reset();
         assert_eq!(vm.pc, 0);
         assert_eq!(vm.regs, [0; 16]);
@@ -990,8 +1277,9 @@ mod tests {
         obs.attach_fault(plane).unwrap();
         vm.bind(obs, None);
         let prog = Program::new("spin", vec![Instr::Jmp { target: 0 }]);
+        vm.load(prog);
         let mut fuel = 100;
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        let exit = vm.run(&mut NullKernel, &clock, &mut fuel);
         assert_eq!(exit, Exit::Trapped(Trap::Injected { pc: 0 }));
         assert_eq!(vm.stats.instrs, 2, "the third instruction never retires");
         assert_eq!(fuel, 98, "the trapped instruction consumes no fuel");
@@ -1007,10 +1295,11 @@ mod tests {
         obs.attach_fault(plane).unwrap();
         vm.bind(obs, None);
         let prog = Program::new("spin", vec![Instr::Jmp { target: 0 }]);
+        vm.load(prog);
         let mut fuel = 3;
-        assert_eq!(vm.run(&prog, &mut NullKernel, &clock, &mut fuel), Exit::Preempted);
+        assert_eq!(vm.run(&mut NullKernel, &clock, &mut fuel), Exit::Preempted);
         let mut fuel = 100;
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        let exit = vm.run(&mut NullKernel, &clock, &mut fuel);
         assert_eq!(exit, Exit::Trapped(Trap::Injected { pc: 0 }));
         assert_eq!(vm.stats.instrs, 4, "trap lands on the fifth visit overall");
     }
@@ -1031,10 +1320,11 @@ mod tests {
                 Instr::Halt { result: Reg(1) },
             ],
         );
+        vm.load(prog);
         let mut fuel = 2;
-        assert_eq!(vm.run(&prog, &mut NullKernel, &clock, &mut fuel), Exit::Preempted);
+        assert_eq!(vm.run(&mut NullKernel, &clock, &mut fuel), Exit::Preempted);
         let mut fuel = 100;
-        assert!(matches!(vm.run(&prog, &mut NullKernel, &clock, &mut fuel), Exit::Halted(_)));
+        assert!(matches!(vm.run(&mut NullKernel, &clock, &mut fuel), Exit::Halted(_)));
         let evs: Vec<TraceEvent> = plane.records().iter().map(|r| r.event).collect();
         assert_eq!(
             evs,
@@ -1047,9 +1337,12 @@ mod tests {
     }
 
     /// Host fn #1 arms a [`FaultSite::VmTrap`] one-shot `ahead` visits
-    /// past the current one; every other id is unknown.
+    /// past the current one and emits a trace event, which must land
+    /// after every `vm.sfi` record retired before the call; every other
+    /// id is unknown.
     struct ArmingKernel {
         plane: Rc<vino_sim::fault::FaultPlane>,
+        trace: Rc<vino_sim::trace::TracePlane>,
         ahead: u64,
     }
 
@@ -1065,6 +1358,7 @@ mod tests {
             }
             let now = self.plane.visits(FaultSite::VmTrap);
             self.plane.arm(FaultSite::VmTrap, now + self.ahead);
+            self.trace.emit(TraceEvent::FsPrefetch { fd: now });
             Ok(0)
         }
         fn is_callable(&self, id: HostFnId) -> bool {
@@ -1085,41 +1379,62 @@ mod tests {
         pc_hits: Vec<(usize, u64, u64, u64)>,
         graft_cycles: Option<Cycles>,
         sfi_checks: (u64, u64),
+        trace: String,
+        dropped: u64,
     }
 
-    /// Runs `prog` for one window per entry of `fuels` with fault,
-    /// metrics and profile planes attached. `per_instr` sets a `VmTrap`
-    /// rate that never fires, which forces the per-instruction driver;
-    /// `arm` arms a one-shot at that visit.
-    fn observe(prog: &Program, fuels: &[u64], arm: Option<u64>, per_instr: bool) -> Observed {
+    /// One differential scenario: a program, one window per entry of
+    /// `fuels`, an optional one-shot at visit `arm`, and the trace
+    /// ring's capacity.
+    #[derive(Clone, Copy)]
+    struct Scenario<'a> {
+        prog: &'a Program,
+        fuels: &'a [u64],
+        arm: Option<u64>,
+        ring: usize,
+    }
+
+    impl<'a> Scenario<'a> {
+        fn new(prog: &'a Program, fuels: &'a [u64]) -> Scenario<'a> {
+            Scenario { prog, fuels, arm: None, ring: 1 << 12 }
+        }
+    }
+
+    /// Runs a scenario with fault, trace, metrics and profile planes
+    /// attached. `per_instr` sets a `VmTrap` rate that never fires,
+    /// which forces the per-instruction driver.
+    fn observe(sc: Scenario<'_>, per_instr: bool) -> Observed {
         use vino_sim::fault::{FaultPlane, FaultSite};
         use vino_sim::metrics::MetricsPlane;
         use vino_sim::profile::ProfilePlane;
+        use vino_sim::trace::TracePlane;
         let (mut vm, clock) = ctx();
         let fp = FaultPlane::seeded(7);
         if per_instr {
             fp.set_rate(FaultSite::VmTrap, 1, u64::MAX);
         }
-        if let Some(nth) = arm {
+        if let Some(nth) = sc.arm {
             fp.arm(FaultSite::VmTrap, nth);
         }
+        let tp = TracePlane::with_capacity(Rc::clone(&clock), sc.ring);
         let mp = MetricsPlane::new(Rc::clone(&clock));
         let pp = ProfilePlane::new(Rc::clone(&clock));
         let tag = pp.tag("t");
-        pp.register_program(tag, prog.instrs.len());
+        pp.register_program(tag, sc.prog.instrs.len());
         let mtag = mp.tag("t");
         mp.begin_invocation(mtag);
         let obs = Planes::new(Rc::clone(&clock));
         obs.attach_fault(Rc::clone(&fp)).unwrap();
+        obs.attach_trace(Rc::clone(&tp)).unwrap();
         obs.attach_metrics(Rc::clone(&mp)).unwrap();
         obs.attach_profile(Rc::clone(&pp)).unwrap();
         vm.bind(obs, Some(tag));
-        vm.predecode(prog);
-        let mut env = ArmingKernel { plane: Rc::clone(&fp), ahead: 2 };
+        vm.load(sc.prog.clone());
+        let mut env = ArmingKernel { plane: Rc::clone(&fp), trace: Rc::clone(&tp), ahead: 2 };
         let (mut exits, mut fuel_left) = (Vec::new(), Vec::new());
-        for &f in fuels {
+        for &f in sc.fuels {
             let mut fuel = f;
-            exits.push(vm.run(prog, &mut env, &clock, &mut fuel));
+            exits.push(vm.run(&mut env, &clock, &mut fuel));
             fuel_left.push(fuel);
         }
         mp.end_invocation(true);
@@ -1138,16 +1453,23 @@ mod tests {
             pc_hits: pp.pc_buckets(tag, 1),
             graft_cycles: mp.attribution(mtag).map(|a| a.of(Component::GraftFn)),
             sfi_checks: (mp.get(Counter::SfiClamps), mp.get(Counter::SfiCallchecks)),
+            trace: tp.serialize(),
+            dropped: tp.stats().dropped,
         }
     }
 
-    /// Observes `prog` under both drivers, asserts they agree, and
+    /// Observes a scenario under both drivers, asserts they agree, and
     /// returns the common observation.
-    fn both_drivers(prog: &Program, fuels: &[u64], arm: Option<u64>) -> Observed {
-        let block = observe(prog, fuels, arm, false);
-        let per_instr = observe(prog, fuels, arm, true);
+    fn both(sc: Scenario<'_>) -> Observed {
+        let block = observe(sc, false);
+        let per_instr = observe(sc, true);
         assert_eq!(block, per_instr, "block driver diverged from the per-instruction driver");
         block
+    }
+
+    /// [`both`] with the default ring and an optional one-shot.
+    fn both_drivers(prog: &Program, fuels: &[u64], arm: Option<u64>) -> Observed {
+        both(Scenario { arm, ..Scenario::new(prog, fuels) })
     }
 
     /// Retirements per pc, indexed by pc.
@@ -1169,7 +1491,7 @@ mod tests {
     }
 
     #[test]
-    fn run_table_ends_runs_at_control_transfers() {
+    fn run_table_ends_runs_at_unconditional_transfers() {
         let prog = Program::new(
             "t",
             vec![
@@ -1179,11 +1501,15 @@ mod tests {
                 Instr::Nop,
                 Instr::Call { func: HostFnId(1) },
                 Instr::Nop,
+                Instr::Jmp { target: 0 },
+                Instr::Nop,
             ],
         );
         let d = Decoded::new(&prog);
         let runs: Vec<u32> = d.pcs.iter().map(|p| p.run).collect();
-        assert_eq!(runs, [3, 2, 1, 2, 1, 1], "the last run ends at the program end");
+        // A conditional branch stays inside its run; the last run ends
+        // at the program end.
+        assert_eq!(runs, [5, 4, 3, 2, 1, 2, 1, 1]);
         assert_eq!((d.pcs[0].comp, d.pcs[1].comp), (Component::GraftFn, Component::Sfi));
         assert_eq!(d.pcs[1].cost, costs::SFI_CLAMP_CYCLES);
         assert_eq!(d.pcs[4].cost, costs::CALL_CYCLES);
@@ -1199,6 +1525,93 @@ mod tests {
         // 23 = two full nine-instruction laps plus five more.
         assert_eq!(hits(&o, 9), [3, 3, 3, 3, 3, 2, 2, 2, 2]);
         assert_eq!(o.sfi_checks, (3, 0));
+    }
+
+    #[test]
+    fn taken_branch_inside_a_run_matches_per_instruction() {
+        // One run from pc 0 to the halt; the back edge at pc 4 is taken
+        // four times and leaves the run there each time.
+        let prog = Program::new(
+            "count",
+            vec![
+                Instr::Const { d: Reg(1), imm: 0 },
+                Instr::Const { d: Reg(3), imm: 5 },
+                Instr::AluI { op: AluOp::Add, d: Reg(1), a: Reg(1), imm: 1 },
+                Instr::Clamp { r: Reg(2) },
+                Instr::Br { cond: Cond::LtU, a: Reg(1), b: Reg(3), target: 2 },
+                Instr::Clamp { r: Reg(2) },
+                Instr::Nop,
+                Instr::Halt { result: Reg(1) },
+            ],
+        );
+        let o = both_drivers(&prog, &[100], None);
+        assert_eq!(o.exits, vec![Exit::Halted(5)]);
+        assert_eq!(hits(&o, 8), [1, 1, 5, 5, 5, 1, 1, 1]);
+        for cut in 1..=20 {
+            let o = both_drivers(&prog, &[cut, 3, 100], None);
+            assert!(o.exits.contains(&Exit::Halted(5)), "cut {cut}: {:?}", o.exits);
+        }
+        for nth in 1..=20 {
+            let o = both_drivers(&prog, &[100], Some(nth));
+            assert_eq!(o.instrs, nth - 1, "visit {nth}");
+        }
+    }
+
+    #[test]
+    fn host_call_after_laps_of_a_run_matches_per_instruction() {
+        // Entered at pc 2, the run laps through the back edge at pc 4
+        // three times, then falls through to the call: the call settles
+        // the laps, and its kernel emits after every lapped clamp's
+        // record and arms a one-shot two visits on, on the halt.
+        let prog = Program::new(
+            "lapped-call",
+            vec![
+                Instr::Const { d: Reg(3), imm: 4 },
+                Instr::Const { d: Reg(1), imm: 0 },
+                Instr::AluI { op: AluOp::Add, d: Reg(1), a: Reg(1), imm: 1 },
+                Instr::Clamp { r: Reg(2) },
+                Instr::Br { cond: Cond::LtU, a: Reg(1), b: Reg(3), target: 2 },
+                Instr::Call { func: HostFnId(1) },
+                Instr::Nop,
+                Instr::Halt { result: Reg(1) },
+            ],
+        );
+        let o = both_drivers(&prog, &[100], None);
+        assert_eq!(o.exits, vec![Exit::Trapped(Trap::Injected { pc: 7 })]);
+        assert_eq!(hits(&o, 8), [1, 1, 4, 4, 4, 1, 1, 0]);
+        let lines: Vec<&str> = o.trace.lines().collect();
+        assert_eq!(lines.len(), 6, "{}", o.trace);
+        assert!(lines[..4].iter().all(|l| l.contains("vm.sfi")), "{}", o.trace);
+        assert!(lines[4].contains("fs.prefetch"), "{}", o.trace);
+        for cut in 1..=16 {
+            let o = both_drivers(&prog, &[cut, 2, 100], None);
+            assert!(o.exits.iter().any(|e| *e != Exit::Preempted), "cut {cut}: {:?}", o.exits);
+        }
+    }
+
+    #[test]
+    fn laps_through_two_back_edges_match_per_instruction() {
+        // Odd counts jump back from pc 4, even ones from pc 6: laps of
+        // two lengths alternate, so no two consecutive laps match.
+        let prog = Program::new(
+            "two-edges",
+            vec![
+                Instr::Const { d: Reg(3), imm: 9 },
+                Instr::Const { d: Reg(1), imm: 0 },
+                Instr::AluI { op: AluOp::Add, d: Reg(1), a: Reg(1), imm: 1 },
+                Instr::AluI { op: AluOp::And, d: Reg(4), a: Reg(1), imm: 1 },
+                Instr::Br { cond: Cond::Ne, a: Reg(4), b: Reg(0), target: 2 },
+                Instr::Clamp { r: Reg(2) },
+                Instr::Br { cond: Cond::LtU, a: Reg(1), b: Reg(3), target: 2 },
+                Instr::Halt { result: Reg(1) },
+            ],
+        );
+        let o = both_drivers(&prog, &[100], None);
+        assert_eq!(o.exits, vec![Exit::Halted(10)]);
+        assert_eq!(hits(&o, 8), [1, 1, 10, 10, 10, 5, 5, 1]);
+        for cut in 1..=30 {
+            both_drivers(&prog, &[cut, 7, 100], None);
+        }
     }
 
     #[test]
@@ -1320,9 +1733,10 @@ mod tests {
                 Instr::Halt { result: Reg(0) },
             ],
         );
+        vm.load(prog);
         let mut env = Reader { mp, pp, tag, seen: None };
         let mut fuel = 10;
-        assert_eq!(vm.run(&prog, &mut env, &clock, &mut fuel), Exit::Halted(0));
+        assert_eq!(vm.run(&mut env, &clock, &mut fuel), Exit::Halted(0));
         let (instrs, comps, clamps) = env.seen.expect("the host call ran");
         assert_eq!(instrs, 3, "the call itself has retired");
         assert_eq!(comps[Component::GraftFn as usize], costs::INSTR_CYCLES + costs::CALL_CYCLES);
@@ -1352,8 +1766,9 @@ mod tests {
                 Instr::Ret,
             ],
         );
+        vm.load(prog);
         let mut fuel = 100;
-        assert_eq!(vm.run(&prog, &mut NullKernel, &clock, &mut fuel), Exit::Halted(0));
+        assert_eq!(vm.run(&mut NullKernel, &clock, &mut fuel), Exit::Halted(0));
         let folded = pp.folded();
         let caller = 3 * costs::INSTR_CYCLES + costs::CALL_CYCLES;
         let callee = 2 * costs::INSTR_CYCLES + costs::RET_CYCLES;
@@ -1361,18 +1776,143 @@ mod tests {
         assert!(folded.contains(&format!("t;fn@0;fn@4 {callee}\n")), "{folded}");
     }
 
+    /// A MiSFIT-shaped loop: two sandboxed accesses per lap, one run of
+    /// seven instructions (pcs 1..=7).
+    fn sandboxed_loop() -> Program {
+        let base = crate::mem::DEFAULT_SEG_BASE as i64;
+        let sbx = Reg(14);
+        Program::new(
+            "sbx",
+            vec![
+                Instr::Const { d: Reg(1), imm: base + 64 },
+                Instr::Mov { d: sbx, s: Reg(1) },
+                Instr::Clamp { r: sbx },
+                Instr::LoadW { d: Reg(2), addr: sbx, off: 0 },
+                Instr::Mov { d: sbx, s: Reg(1) },
+                Instr::Clamp { r: sbx },
+                Instr::StoreW { s: Reg(2), addr: sbx, off: 4 },
+                Instr::Jmp { target: 1 },
+            ],
+        )
+    }
+
     #[test]
-    fn run_redecodes_a_different_program() {
+    fn sandboxed_triples_are_fused_inside_one_run() {
+        let d = Decoded::new(&sandboxed_loop());
+        let fused: Vec<usize> =
+            (0..d.ops.len()).filter(|&pc| matches!(d.ops[pc], Op::Sandboxed { .. })).collect();
+        assert_eq!(fused, [1, 4]);
+        assert_eq!(d.pcs[1].run, 7);
+        let run = d.cum[8].cycles - d.cum[1].cycles;
+        let clamps = 2 * costs::SFI_CLAMP_CYCLES;
+        let access = costs::LOAD_CYCLES + costs::STORE_CYCLES;
+        assert_eq!(run, 2 * costs::INSTR_CYCLES + clamps + access + costs::BRANCH_CYCLES);
+        assert_eq!(d.cum[8].sfi - d.cum[1].sfi, clamps);
+    }
+
+    #[test]
+    fn fuel_cut_at_every_offset_of_a_sandboxed_triple_matches_per_instruction() {
+        let prog = sandboxed_loop();
+        // The const, then the first window ends `cut` instructions into
+        // the seven-instruction run: cuts 1 and 2 (and 4, 5) land
+        // inside a triple, so the block driver must fall back to
+        // single steps there and resume mid-triple in the next window.
+        for cut in 0..=8u64 {
+            let fuels = [1 + cut, 3, 1, 2, 100];
+            let o = both_drivers(&prog, &fuels, None);
+            assert_eq!(o.exits, vec![Exit::Preempted; 5], "cut {cut}");
+            assert_eq!(o.instrs, 107 + cut);
+            assert_eq!(o.trace.matches("vm.sfi").count() as u64, o.sfi_checks.0, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn one_shot_armed_inside_a_sandboxed_triple_matches_per_instruction() {
+        let prog = sandboxed_loop();
+        // Visits 2..=8 walk the first lap's run, 9..=15 the second's.
+        for nth in 1..=15u64 {
+            let o = both_drivers(&prog, &[100], Some(nth));
+            let pc = if nth == 1 { 0 } else { 1 + ((nth - 2) % 7) as usize };
+            assert_eq!(o.exits, vec![Exit::Trapped(Trap::Injected { pc })], "visit {nth}");
+            assert_eq!((o.instrs, o.injected), (nth - 1, 1));
+        }
+    }
+
+    #[test]
+    fn host_call_arming_after_a_batch_of_sfi_records_matches_per_instruction() {
+        let mut instrs = sandboxed_loop().instrs[..7].to_vec();
+        instrs.extend_from_slice(&instrs.clone()[1..]);
+        // Thirteen instructions and four clamps into the run, host fn
+        // #1 emits its own event and arms a one-shot two visits on: the
+        // clamp at pc 15, whose check never retires.
+        instrs.push(Instr::Call { func: HostFnId(1) });
+        instrs.extend_from_slice(&[Instr::Nop, Instr::Clamp { r: Reg(3) }, Instr::Nop]);
+        instrs.push(Instr::Halt { result: Reg(0) });
+        let prog = Program::new("arm-after-sfi", instrs);
+        let o = both_drivers(&prog, &[100], None);
+        assert_eq!(o.exits, vec![Exit::Trapped(Trap::Injected { pc: 15 })]);
+        let lines: Vec<&str> = o.trace.lines().collect();
+        assert_eq!(lines.len(), 6, "{}", o.trace);
+        assert!(lines[..4].iter().all(|l| l.contains("vm.sfi")), "{}", o.trace);
+        assert!(lines[4].contains("fs.prefetch") && lines[5].contains("vm.window"), "{}", o.trace);
+    }
+
+    #[test]
+    fn small_ring_wrapping_mid_batch_matches_per_instruction() {
+        let prog = sandboxed_loop();
+        // 700 instructions make 200 checks: one full batch, ring
+        // evictions inside every batch, and short windows.
+        for ring in [3, 7, 50] {
+            let o = both(Scenario { ring, ..Scenario::new(&prog, &[701, 5, 9]) });
+            assert_eq!(o.sfi_checks.0, 204);
+            assert_eq!(o.dropped, 204 + 3 - ring as u64, "ring {ring}");
+            assert_eq!(o.trace.lines().count(), ring);
+        }
+    }
+
+    #[test]
+    fn editing_the_program_in_place_redecodes_it() {
+        use vino_sim::profile::ProfilePlane;
         let (mut vm, clock) = ctx();
-        let a = Program::new("a", vec![Instr::Nop, Instr::Halt { result: Reg(0) }]);
-        let b = Program::new(
-            "b",
-            vec![Instr::Const { d: Reg(0), imm: 5 }, Instr::Nop, Instr::Halt { result: Reg(0) }],
-        );
-        vm.predecode(&a);
-        let mut fuel = 10;
-        assert_eq!(vm.run(&b, &mut NullKernel, &clock, &mut fuel), Exit::Halted(5));
-        assert_eq!(vm.decoded.pcs.len(), 3);
+        let pp = ProfilePlane::new(Rc::clone(&clock));
+        let tag = pp.tag("t");
+        pp.register_program(tag, 5);
+        let obs = Planes::new(Rc::clone(&clock));
+        obs.attach_profile(Rc::clone(&pp)).unwrap();
+        vm.bind(obs, Some(tag));
+        let base = vm.mem.seg_base() as i64;
+        let sbx = Reg(14);
+        vm.load(Program::new(
+            "t",
+            vec![
+                Instr::Const { d: Reg(1), imm: base },
+                Instr::Mov { d: sbx, s: Reg(1) },
+                Instr::Clamp { r: sbx },
+                Instr::StoreW { s: Reg(1), addr: sbx, off: 0 },
+                Instr::Halt { result: Reg(1) },
+            ],
+        ));
+        let mut fuel = 100;
+        assert_eq!(vm.run(&mut NullKernel, &clock, &mut fuel), Exit::Halted(base as u64));
+        let buf = vm.program().instrs.as_ptr();
+        // Same buffer, same length: unfuse the triple and change costs.
+        vm.edit(|p| {
+            p.instrs[0] = Instr::Const { d: Reg(1), imm: base + 8 };
+            p.instrs[2] = Instr::Nop;
+            p.instrs[3] = Instr::LoadW { d: Reg(0), addr: sbx, off: -8 };
+            p.instrs[4] = Instr::Halt { result: Reg(0) };
+        });
+        assert_eq!(vm.program().instrs.as_ptr(), buf, "edited in place");
+        vm.reset();
+        let before = clock.now().get();
+        let mut fuel = 100;
+        assert_eq!(vm.run(&mut NullKernel, &clock, &mut fuel), Exit::Halted(base as u64));
+        assert_eq!(clock.now().get() - before, 4 * costs::INSTR_CYCLES + costs::LOAD_CYCLES);
+        assert_eq!((vm.stats.clamps, vm.stats.loads, vm.stats.stores), (0, 1, 0));
+        let hits: Vec<(usize, u64, u64, u64)> = pp.pc_buckets(tag, 1);
+        let sfi_at_pc2 = costs::SFI_CLAMP_CYCLES;
+        assert_eq!(hits[2], (2, sfi_at_pc2 + costs::INSTR_CYCLES, sfi_at_pc2, 2));
+        assert_eq!(hits.iter().map(|h| h.3).collect::<Vec<_>>(), [2; 5]);
     }
 
     #[test]

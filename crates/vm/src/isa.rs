@@ -166,6 +166,33 @@ impl Instr {
         }
     }
 
+    /// Every register the instruction names, in operand order (unused
+    /// slots are `None`).
+    pub fn regs(&self) -> [Option<Reg>; 3] {
+        match *self {
+            Instr::Const { d, .. } => [Some(d), None, None],
+            Instr::Mov { d, s } => [Some(d), Some(s), None],
+            Instr::Alu { d, a, b, .. } => [Some(d), Some(a), Some(b)],
+            Instr::AluI { d, a, .. } => [Some(d), Some(a), None],
+            Instr::LoadW { d, addr, .. } | Instr::LoadB { d, addr, .. } => {
+                [Some(d), Some(addr), None]
+            }
+            Instr::StoreW { s, addr, .. } | Instr::StoreB { s, addr, .. } => {
+                [Some(s), Some(addr), None]
+            }
+            Instr::Br { a, b, .. } => [Some(a), Some(b), None],
+            Instr::CallI { target: r }
+            | Instr::Halt { result: r }
+            | Instr::Clamp { r }
+            | Instr::CheckCall { r } => [Some(r), None, None],
+            Instr::Jmp { .. }
+            | Instr::Call { .. }
+            | Instr::CallLocal { .. }
+            | Instr::Ret
+            | Instr::Nop => [None; 3],
+        }
+    }
+
     /// The branch/jump target, if this instruction has one.
     pub fn branch_target(&self) -> Option<u32> {
         match *self {
@@ -232,7 +259,8 @@ impl Program {
         self.instrs.iter().filter(|i| pred(i)).count()
     }
 
-    /// Validates static well-formedness: all branch targets in range.
+    /// Validates static well-formedness: all branch targets in range
+    /// and every register one of `r0..=r15`.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.instrs.len() as u32;
         for (pc, i) in self.instrs.iter().enumerate() {
@@ -240,6 +268,9 @@ impl Program {
                 if t >= n {
                     return Err(format!("instr {pc}: branch target {t} out of range (len {n})"));
                 }
+            }
+            if let Some(r) = i.regs().into_iter().flatten().find(|r| Reg::new(r.0).is_none()) {
+                return Err(format!("instr {pc}: register {r} out of range (r0..=r15)"));
             }
         }
         Ok(())
@@ -292,6 +323,21 @@ mod tests {
         );
         assert_eq!(p.direct_callees(), vec![HostFnId(2), HostFnId(9)]);
         assert!(!p.has_indirect_calls());
+    }
+
+    #[test]
+    fn validate_rejects_register_indices_past_r15() {
+        let ok = Instr::Mov { d: Reg(15), s: Reg(0) };
+        assert!(Program::new("t", vec![ok]).validate().is_ok());
+        for bad in [
+            Instr::Const { d: Reg(16), imm: 0 },
+            Instr::Alu { op: AluOp::Add, d: Reg(1), a: Reg(2), b: Reg(16) },
+            Instr::StoreW { s: Reg(1), addr: Reg(200), off: 0 },
+            Instr::Halt { result: Reg(16) },
+        ] {
+            let err = Program::new("t", vec![ok, bad]).validate().unwrap_err();
+            assert!(err.starts_with("instr 1: register r"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -141,26 +141,40 @@ impl AddressSpace {
         self.kernel_writes
     }
 
-    /// Reads `len ∈ {1,4}` bytes at `addr` as a zero-extended value.
-    pub fn read(&mut self, addr: u64, len: u32) -> Result<u64, MemError> {
-        let bytes = self.slice(addr, len as u64, false)?;
-        let mut v: u64 = 0;
-        for (i, b) in bytes.iter().enumerate() {
-            v |= (*b as u64) << (8 * i);
-        }
-        Ok(v)
+    /// Reads `len ∈ {1,4}` bytes at `addr` as a zero-extended
+    /// little-endian value. The region is classified once and a word is
+    /// read whole.
+    #[inline(always)]
+    pub fn read(&self, addr: u64, len: u32) -> Result<u64, MemError> {
+        let (region, off) = self.locate(addr, len)?;
+        let buf = match region {
+            Region::Graft => &self.graft,
+            Region::Kernel => &self.kernel,
+        };
+        Ok(match len {
+            4 => u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]).into(),
+            1 => buf[off].into(),
+            n => {
+                let mut w = [0u8; 8];
+                w[..n as usize].copy_from_slice(&buf[off..off + n as usize]);
+                u64::from_le_bytes(w)
+            }
+        })
     }
 
-    /// Writes the low `len ∈ {1,4}` bytes of `val` at `addr`.
+    /// Writes the low `len ∈ {1,4}` bytes of `val` at `addr`, little
+    /// endian, classifying the region once.
+    #[inline(always)]
     pub fn write(&mut self, addr: u64, val: u64, len: u32) -> Result<(), MemError> {
-        let is_kernel = self.region_of(addr) == Some(Region::Kernel);
-        let bytes = self.slice(addr, len as u64, true)?;
-        for (i, b) in bytes.iter_mut().enumerate().take(len as usize) {
-            *b = (val >> (8 * i)) as u8;
-        }
-        if is_kernel {
-            self.kernel_writes += 1;
-        }
+        let (region, off) = self.locate(addr, len)?;
+        let buf = match region {
+            Region::Graft => &mut self.graft,
+            Region::Kernel => {
+                self.kernel_writes += 1;
+                &mut self.kernel
+            }
+        };
+        buf[off..off + len as usize].copy_from_slice(&val.to_le_bytes()[..len as usize]);
         Ok(())
     }
 
@@ -196,44 +210,30 @@ impl AddressSpace {
         self.kernel.get_mut(offset..offset + len)
     }
 
-    fn region_of(&self, addr: u64) -> Option<Region> {
-        // The guard zone counts as graft memory for access purposes, but
-        // clamp never produces an address inside it.
-        if addr >= self.seg_base && addr < self.seg_base + self.graft.len() as u64 {
-            Some(Region::Graft)
-        } else if addr >= self.kernel_base && addr < self.kernel_base + self.kernel.len() as u64 {
-            Some(Region::Kernel)
+    /// Classifies a `len`-byte access at `addr`: its region and the
+    /// offset into that region's bytes, or the fault it raises. The
+    /// guard zone counts as graft memory for access purposes, though
+    /// clamp never produces an address inside it.
+    #[inline(always)]
+    fn locate(&self, addr: u64, len: u32) -> Result<(Region, usize), MemError> {
+        let (region, bytes, off) = if addr.wrapping_sub(self.seg_base) < self.graft.len() as u64 {
+            (Region::Graft, &self.graft, addr - self.seg_base)
+        } else if addr.wrapping_sub(self.kernel_base) < self.kernel.len() as u64 {
+            if self.protection == Protection::Sfi {
+                // Instrumented code cannot reach here (Clamp precedes
+                // every access); if it does, the rewriter was bypassed
+                // and we fault loudly instead of corrupting.
+                return Err(MemError::KernelRegion { addr });
+            }
+            (Region::Kernel, &self.kernel, addr - self.kernel_base)
         } else {
-            None
+            return Err(MemError::Unmapped { addr });
+        };
+        let off = off as usize;
+        if off + len as usize > bytes.len() {
+            return Err(MemError::Straddle { addr });
         }
-    }
-
-    fn slice(&mut self, addr: u64, len: u64, _write: bool) -> Result<&mut [u8], MemError> {
-        match self.region_of(addr) {
-            Some(Region::Graft) => {
-                let off = (addr - self.seg_base) as usize;
-                let end = off + len as usize;
-                if end > self.graft.len() {
-                    return Err(MemError::Straddle { addr });
-                }
-                Ok(&mut self.graft[off..end])
-            }
-            Some(Region::Kernel) => {
-                if self.protection == Protection::Sfi {
-                    // Instrumented code cannot reach here (Clamp precedes
-                    // every access); if it does, the rewriter was
-                    // bypassed and we fault loudly instead of corrupting.
-                    return Err(MemError::KernelRegion { addr });
-                }
-                let off = (addr - self.kernel_base) as usize;
-                let end = off + len as usize;
-                if end > self.kernel.len() {
-                    return Err(MemError::Straddle { addr });
-                }
-                Ok(&mut self.kernel[off..end])
-            }
-            None => Err(MemError::Unmapped { addr }),
-        }
+        Ok((region, off))
     }
 }
 
@@ -324,6 +324,82 @@ mod tests {
         assert!(matches!(m.write(past_guard, 0, 4), Err(MemError::Straddle { .. })));
         // A one-byte access at the same spot is fine.
         assert!(m.write(past_guard, 0, 1).is_ok());
+    }
+
+    /// The byte-serial reference: classifies `addr` by region bounds,
+    /// then walks the access one byte at a time.
+    fn oracle_slice(m: &mut AddressSpace, addr: u64, len: u32) -> Result<&mut [u8], MemError> {
+        let (start, bytes) = if addr >= m.seg_base && addr < m.seg_base + m.graft.len() as u64 {
+            (m.seg_base, &mut m.graft)
+        } else if addr >= m.kernel_base && addr < m.kernel_base + m.kernel.len() as u64 {
+            if m.protection == Protection::Sfi {
+                return Err(MemError::KernelRegion { addr });
+            }
+            (m.kernel_base, &mut m.kernel)
+        } else {
+            return Err(MemError::Unmapped { addr });
+        };
+        let off = (addr - start) as usize;
+        bytes.get_mut(off..off + len as usize).ok_or(MemError::Straddle { addr })
+    }
+
+    fn oracle_read(m: &mut AddressSpace, addr: u64, len: u32) -> Result<u64, MemError> {
+        let bytes = oracle_slice(m, addr, len)?;
+        Ok(bytes.iter().enumerate().fold(0, |v, (i, &b)| v | (b as u64) << (8 * i)))
+    }
+
+    fn oracle_write(m: &mut AddressSpace, addr: u64, val: u64, len: u32) -> Result<(), MemError> {
+        let kernel = addr >= m.kernel_base && addr < m.kernel_base + m.kernel.len() as u64;
+        for (i, b) in oracle_slice(m, addr, len)?.iter_mut().enumerate() {
+            *b = (val >> (8 * i)) as u8;
+        }
+        m.kernel_writes += u64::from(kernel);
+        Ok(())
+    }
+
+    #[test]
+    fn word_access_matches_the_byte_serial_oracle() {
+        use vino_sim::SplitMix64;
+        for prot in [Protection::Sfi, Protection::Unprotected] {
+            let mut rng = SplitMix64::new(0x3E3 ^ prot as u64);
+            let mut fast = AddressSpace::new(256, 64, prot);
+            let mut slow = fast.clone();
+            let seg_end = fast.seg_base() + fast.seg_size();
+            let kernel_end = fast.kernel_base() + fast.kernel_len() as u64;
+            // Edges: both region starts, the segment end, the guard-zone
+            // end, the kernel end, address zero and the wrap at u64::MAX.
+            let edges = [
+                fast.seg_base(),
+                seg_end,
+                seg_end + GUARD_BYTES as u64,
+                fast.kernel_base(),
+                kernel_end,
+                0,
+                u64::MAX,
+            ];
+            for _ in 0..20_000 {
+                let edge = edges[rng.below(edges.len() as u64) as usize];
+                let addr = edge.wrapping_add(rng.below(16)).wrapping_sub(8);
+                let len = if rng.chance(1, 2) { 4 } else { 1 };
+                if rng.chance(1, 2) {
+                    let val = rng.next_u64();
+                    let got = fast.write(addr, val, len);
+                    assert_eq!(
+                        got,
+                        oracle_write(&mut slow, addr, val, len),
+                        "write {addr:#x}/{len}"
+                    );
+                } else {
+                    let got = fast.read(addr, len);
+                    assert_eq!(got, oracle_read(&mut slow, addr, len), "read {addr:#x}/{len}");
+                }
+            }
+            assert_eq!((&fast.graft, &fast.kernel), (&slow.graft, &slow.kernel), "{prot:?}");
+            assert_eq!(fast.kernel_writes, slow.kernel_writes, "{prot:?}");
+            if prot == Protection::Unprotected {
+                assert!(fast.kernel_writes > 0, "the kernel region was exercised");
+            }
+        }
     }
 
     #[test]

@@ -163,7 +163,8 @@ fn instrumented_programs_stay_in_segment() {
         vm.mem.kernel_bytes_mut(0, 4).unwrap().copy_from_slice(&0xDEADBEEFu32.to_le_bytes());
         let clock = VirtualClock::new();
         let mut fuel = 5_000; // Bounded: wild jumps can loop.
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        vm.load(prog.clone());
+        let exit = vm.run(&mut NullKernel, &clock, &mut fuel);
         // The only acceptable outcomes: normal halt, preemption, or a
         // *non-memory* trap. Any MemError means confinement failed
         // (clamped accesses cannot be unmapped or kernel-region).
@@ -213,7 +214,8 @@ fn unprotected_wild_store_corrupts() {
         let mut vm = Vm::new(mem);
         let clock = VirtualClock::new();
         let mut fuel = 100;
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        vm.load(prog.clone());
+        let exit = vm.run(&mut NullKernel, &clock, &mut fuel);
         assert_eq!(exit, Exit::Halted(0));
         assert_eq!(vm.mem.kernel_write_count(), 1);
     }
@@ -231,7 +233,8 @@ fn fuel_bounds_execution_exactly() {
         let mut vm = Vm::new(mem);
         let clock = VirtualClock::new();
         let mut fuel = fuel_in;
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        vm.load(prog.clone());
+        let exit = vm.run(&mut NullKernel, &clock, &mut fuel);
         assert_eq!(exit, Exit::Preempted);
         assert_eq!(fuel, 0);
         assert_eq!(vm.stats.instrs, fuel_in);
