@@ -1,6 +1,6 @@
 //! The machine-readable bench census: `vino-bench census [--json]`.
 //!
-//! Five sweeps, each also emitted as a `BENCH_<name>.json` file when
+//! Six sweeps, each also emitted as a `BENCH_<name>.json` file when
 //! `--json` is passed (hand-rolled serialization — the census has no
 //! dependency beyond `std`):
 //!
@@ -26,6 +26,11 @@
 //!   fault, trace, metrics and profile planes bound, plus ns per
 //!   `vm.sfi` record handed to the trace plane in one batch. Host
 //!   measurements, like `planes`.
+//! - `post_mortem` — wall-clock ns per flight-recorder snapshot
+//!   (`record_post_mortem`, the default 32-record window) on full,
+//!   wrapped rings of 1 Ki and 16 Ki records, and ns per
+//!   `post_mortem()` read, which renders the window's lines. Host
+//!   measurements, like `planes`.
 
 use std::rc::Rc;
 use std::time::Instant;
@@ -38,7 +43,9 @@ use vino_sim::fault::FaultSite;
 use vino_sim::metrics::{Component, Counter, MetricsPlane};
 use vino_sim::obs::Obs;
 use vino_sim::profile::ProfilePlane;
-use vino_sim::trace::{CauseCtx, SpanId, TraceEvent, TracePlane};
+use vino_sim::trace::{
+    AbortKind, CauseCtx, SpanId, TraceEvent, TracePlane, DEFAULT_POST_MORTEM_WINDOW,
+};
 use vino_sim::Cycles;
 
 use vino_core::hostfn;
@@ -275,6 +282,54 @@ pub fn vm_census() -> Census {
     Census { name: "vm", text, json: json_doc("vm", "ns", &rows) }
 }
 
+/// The flight-recorder census: ns per abort snapshot on full, wrapped
+/// rings of two sizes (the snapshot should cost the same on both: it
+/// copies the window, not the ring), and ns per post-mortem read,
+/// measured in host time.
+pub fn post_mortem_census() -> Census {
+    const ITERS: u64 = 20_000;
+    let wrapped = |cap: usize| {
+        let tp = TracePlane::with_capacity(VirtualClock::new(), cap);
+        let g = tp.tag("victim");
+        // Half a window past a full ring: the snapshot window straddles
+        // the wrap point.
+        for i in 0..cap + DEFAULT_POST_MORTEM_WINDOW / 2 {
+            tp.emit(TraceEvent::UndoPush { thread: 1, depth: i as u64 });
+        }
+        tp.emit(TraceEvent::GraftAbort { graft: g, kind: AbortKind::Trap });
+        tp
+    };
+    let snapshot = |tp: &TracePlane| {
+        ns_per_op(ITERS, || {
+            std::hint::black_box(tp).record_post_mortem(
+                "victim",
+                AbortKind::Trap,
+                1,
+                4,
+                Cycles(5_400),
+            )
+        })
+    };
+    let (small, large) = (wrapped(1 << 10), wrapped(1 << 14));
+    let ops = [
+        ("post_mortem_ring_1k_ns", snapshot(&small)),
+        ("post_mortem_ring_16k_ns", snapshot(&large)),
+        (
+            "post_mortem_read_ns",
+            ns_per_op(ITERS, || {
+                std::hint::black_box(std::hint::black_box(&large).post_mortem());
+            }),
+        ),
+    ];
+    let mut text = String::from("op                       | ns/op (host wall clock)\n-------------------------+------------------------\n");
+    let mut rows = Vec::new();
+    for (op, ns) in &ops {
+        text.push_str(&format!("{op:<24} | {ns:.1}\n"));
+        rows.push(vec![("op", json_str(op)), ("ns", format!("{ns:.1}"))]);
+    }
+    Census { name: "post_mortem", text, json: json_doc("post_mortem", "ns_per_op", &rows) }
+}
+
 /// The MiSFIT-instrumented Table 6 encryption graft.
 fn assemble_table6() -> vino_vm::isa::Program {
     let raw = vino_vm::assemble("table6", table6::ENCRYPT_GRAFT_SRC, &hostfn::symbols())
@@ -355,7 +410,7 @@ pub fn repl_window_census(seed: u64, steps: usize) -> Census {
     Census { name: "repl_window", text, json: json_doc("repl_window", "records", &rows) }
 }
 
-/// Runs all five censuses.
+/// Runs all six censuses.
 pub fn run_all(reps: usize, seed: u64, steps: usize) -> Vec<Census> {
     vec![
         netfilter_census(reps),
@@ -363,6 +418,7 @@ pub fn run_all(reps: usize, seed: u64, steps: usize) -> Vec<Census> {
         repl_window_census(seed, steps),
         checksum_census(),
         vm_census(),
+        post_mortem_census(),
     ]
 }
 
@@ -428,6 +484,14 @@ mod tests {
         assert_measures_every_op(
             &vm_census(),
             &["table6_bare_ns_per_instr", "table6_planes_ns_per_instr", "sfi_batch_ns_per_record"],
+        );
+    }
+
+    #[test]
+    fn post_mortem_census_measures_every_row() {
+        assert_measures_every_op(
+            &post_mortem_census(),
+            &["post_mortem_ring_1k_ns", "post_mortem_ring_16k_ns", "post_mortem_read_ns"],
         );
     }
 

@@ -273,8 +273,8 @@ impl FileSystem {
     /// in-memory metadata from the recovered blocks. A volume whose
     /// superblock does not decode, or whose in-use inodes claim blocks
     /// outside the data region, overlapping another extent, or not
-    /// marked allocated in the bitmap, is refused as
-    /// [`FsError::BadVolume`].
+    /// marked allocated in the bitmap, or have a size beyond their
+    /// extents, is refused as [`FsError::BadVolume`].
     pub fn mount(
         clock: Rc<VirtualClock>,
         mut disk: Disk,
@@ -407,22 +407,30 @@ impl FileSystem {
     /// Refuses a volume whose in-use inodes claim blocks outside the
     /// data region, blocks another extent already claims, or blocks
     /// the allocation bitmap does not mark — any of which would send a
-    /// later read or write out of bounds or into another file. Checks
+    /// later read or write out of bounds or into another file — or an
+    /// in-use inode whose size outruns the blocks its extents hold. Checks
     /// the metadata [`reload_metadata`](Self::reload_metadata) already
     /// read, in time linear in the in-use extent blocks (plus a sort of
     /// the extents).
     fn check_extents(&self) -> Result<(), FsError> {
         let (lo, hi) = (self.sb.data_start as u64, self.sb.total_blocks as u64);
         let mut claimed: Vec<(u64, u64)> = Vec::new();
-        for e in self.inodes.iter().filter(|i| i.used).flat_map(|i| &i.extents) {
-            let (start, end) = (e.start as u64, e.start as u64 + e.len as u64);
-            if start < lo || end > hi {
+        for ino in self.inodes.iter().filter(|i| i.used) {
+            let mut blocks = 0;
+            for e in &ino.extents {
+                let (start, end) = (e.start as u64, e.start as u64 + e.len as u64);
+                if start < lo || end > hi {
+                    return Err(FsError::BadVolume);
+                }
+                if !(start..end).all(|b| self.bitmap.is_set((b - lo) as u32)) {
+                    return Err(FsError::BadVolume);
+                }
+                claimed.push((start, end));
+                blocks += e.len as u64;
+            }
+            if ino.size > blocks * BLOCK_SIZE as u64 {
                 return Err(FsError::BadVolume);
             }
-            if !(start..end).all(|b| self.bitmap.is_set((b - lo) as u32)) {
-                return Err(FsError::BadVolume);
-            }
-            claimed.push((start, end));
         }
         claimed.sort_unstable();
         if claimed.windows(2).any(|w| w[0].1 > w[1].0) {
@@ -1211,12 +1219,22 @@ mod tests {
     #[test]
     fn size_beyond_the_extents_is_a_bad_volume() {
         // Four blocks of size over a one-block extent.
-        let mut forged = mount_forged(|ino, _| ino.size = 4 * BLOCK_SIZE as u64).unwrap();
-        let fd = forged.open("b").unwrap();
-        assert_eq!(forged.read(fd, 0, 2 * BLOCK_SIZE as u64), Err(FsError::BadVolume));
-        assert_eq!(forged.write(fd, BLOCK_SIZE as u64, b"x"), Err(FsError::BadVolume));
-        // The bytes the extent does back stay readable.
-        assert_eq!(forged.read(fd, 0, 4).map(|b| b.len()), Ok(4));
+        let forged = mount_forged(|ino, _| ino.size = 4 * BLOCK_SIZE as u64);
+        assert_eq!(forged.err(), Some(FsError::BadVolume));
+        // One byte past the extent is already too many; a size that
+        // fills it exactly mounts.
+        let forged = mount_forged(|ino, _| ino.size = BLOCK_SIZE as u64 + 1);
+        assert_eq!(forged.err(), Some(FsError::BadVolume));
+        assert!(mount_forged(|ino, _| ino.size = BLOCK_SIZE as u64).is_ok());
+        // Past mount, a read or write still refuses a size its extents
+        // do not back rather than indexing past them.
+        let mut fs = mount_forged(|_, _| {}).unwrap();
+        let idx = fs.lookup("b").unwrap();
+        fs.inodes[idx].size = 4 * BLOCK_SIZE as u64;
+        let fd = fs.open("b").unwrap();
+        assert_eq!(fs.read(fd, 0, 2 * BLOCK_SIZE as u64), Err(FsError::BadVolume));
+        assert_eq!(fs.write(fd, BLOCK_SIZE as u64, b"x"), Err(FsError::BadVolume));
+        assert_eq!(fs.read(fd, 0, 4).map(|b| b.len()), Ok(4));
     }
 
     #[test]

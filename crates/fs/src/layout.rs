@@ -23,6 +23,17 @@
 //! checksums validate, discard it as a torn tail otherwise. See
 //! `docs/RECOVERY.md` for the byte-level story.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+/// The `N` bytes of the little-endian field at `b[at..at + N]`, for
+/// `from_le_bytes`. Every offset is fixed by the format and lies inside
+/// the block or record it reads.
+fn le<const N: usize>(b: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(&b[at..at + N]);
+    out
+}
+
 /// File-system block size; "4KB is our file system block size" (§4.1.3).
 pub const BLOCK_SIZE: usize = 4096;
 
@@ -108,7 +119,7 @@ impl SuperBlock {
 
     /// Parses a superblock; `None` when the magic does not match.
     pub fn decode(b: &[u8; BLOCK_SIZE]) -> Option<SuperBlock> {
-        let word = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+        let word = |at| u32::from_le_bytes(le(b, at));
         let sb = SuperBlock {
             magic: word(0),
             total_blocks: word(4),
@@ -265,26 +276,23 @@ impl JournalDescriptor {
     /// Parses a descriptor; `None` when the magic or header checksum
     /// does not hold (unwritten region, torn write, stale bytes).
     pub fn decode(b: &[u8; BLOCK_SIZE]) -> Option<JournalDescriptor> {
-        let magic = u32::from_le_bytes(b[0..4].try_into().expect("4 bytes"));
+        let magic = u32::from_le_bytes(le(b, 0));
         if magic != JOURNAL_MAGIC {
             return None;
         }
-        let seal = u64::from_le_bytes(b[BLOCK_SIZE - 8..].try_into().expect("8 bytes"));
+        let seal = u64::from_le_bytes(le(b, BLOCK_SIZE - 8));
         if seal != checksum64(&b[..BLOCK_SIZE - 8]) {
             return None;
         }
-        let seq = u64::from_le_bytes(b[4..12].try_into().expect("8 bytes"));
-        let n = u32::from_le_bytes(b[12..16].try_into().expect("4 bytes")) as usize;
+        let seq = u64::from_le_bytes(le(b, 4));
+        let n = u32::from_le_bytes(le(b, 12)) as usize;
         if n > Self::MAX_ENTRIES {
             return None;
         }
         let mut entries = Vec::with_capacity(n);
         for i in 0..n {
             let off = 16 + i * 16;
-            entries.push((
-                u64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes")),
-                u64::from_le_bytes(b[off + 8..off + 16].try_into().expect("8 bytes")),
-            ));
+            entries.push((u64::from_le_bytes(le(b, off)), u64::from_le_bytes(le(b, off + 8))));
         }
         Some(JournalDescriptor { seq, entries })
     }
@@ -293,13 +301,13 @@ impl JournalDescriptor {
     /// (magic present), regardless of checksum validity — used to tell
     /// "torn record" apart from "journal never written".
     pub fn has_magic(b: &[u8; BLOCK_SIZE]) -> bool {
-        u32::from_le_bytes(b[0..4].try_into().expect("4 bytes")) == JOURNAL_MAGIC
+        u32::from_le_bytes(le(b, 0)) == JOURNAL_MAGIC
     }
 
     /// The raw sequence field, readable even from a torn record (it
     /// sits inside the minimum torn prefix), for diagnostics.
     pub fn raw_seq(b: &[u8; BLOCK_SIZE]) -> u64 {
-        u64::from_le_bytes(b[4..12].try_into().expect("8 bytes"))
+        u64::from_le_bytes(le(b, 4))
     }
 }
 
@@ -322,17 +330,17 @@ pub fn encode_commit(seq: u64, desc_seal: u64) -> [u8; BLOCK_SIZE] {
 /// Whether `b` is a valid commit block for sequence `seq` endorsing the
 /// descriptor whose header checksum is `desc_seal`.
 pub fn decode_commit(b: &[u8; BLOCK_SIZE], seq: u64, desc_seal: u64) -> bool {
-    let magic = u32::from_le_bytes(b[0..4].try_into().expect("4 bytes"));
-    let got_seq = u64::from_le_bytes(b[4..12].try_into().expect("8 bytes"));
-    let got_desc = u64::from_le_bytes(b[12..20].try_into().expect("8 bytes"));
-    let seal = u64::from_le_bytes(b[20..28].try_into().expect("8 bytes"));
+    let magic = u32::from_le_bytes(le(b, 0));
+    let got_seq = u64::from_le_bytes(le(b, 4));
+    let got_desc = u64::from_le_bytes(le(b, 12));
+    let seal = u64::from_le_bytes(le(b, 20));
     magic == COMMIT_MAGIC && got_seq == seq && got_desc == desc_seal && seal == checksum64(&b[..20])
 }
 
 /// The header checksum a descriptor block seals itself with — what
 /// [`encode_commit`] binds to. Computable from any encoded descriptor.
 pub fn descriptor_seal(b: &[u8; BLOCK_SIZE]) -> u64 {
-    u64::from_le_bytes(b[BLOCK_SIZE - 8..].try_into().expect("8 bytes"))
+    u64::from_le_bytes(le(b, BLOCK_SIZE - 8))
 }
 
 /// A contiguous run of data blocks.
@@ -398,14 +406,14 @@ impl Inode {
         let used = b[0] != 0;
         let n = (b[1] as usize).min(MAX_NAME);
         let name = String::from_utf8_lossy(&b[2..2 + n]).into_owned();
-        let size = u64::from_le_bytes(b[72..80].try_into().expect("8 bytes"));
+        let size = u64::from_le_bytes(le(b, 72));
         let count = (b[80] as usize).min(MAX_EXTENTS);
         let mut extents = Vec::with_capacity(count);
         for i in 0..count {
             let off = 88 + i * 8;
             extents.push(DiskExtent {
-                start: u32::from_le_bytes(b[off..off + 4].try_into().expect("4 bytes")),
-                len: u32::from_le_bytes(b[off + 4..off + 8].try_into().expect("4 bytes")),
+                start: u32::from_le_bytes(le(b, off)),
+                len: u32::from_le_bytes(le(b, off + 4)),
             });
         }
         Inode { used, name, size, extents }

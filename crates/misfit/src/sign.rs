@@ -11,6 +11,8 @@
 //! tooling; an HMAC keeps the reproduction self-contained while giving
 //! the same property: only images produced by the keyed tool verify).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
 
 use vino_sim::fault::FaultSite;

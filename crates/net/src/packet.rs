@@ -1,5 +1,7 @@
 //! Typed packets and the filter-graft marshalling contract.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use vino_dev::Port;
 use vino_sim::trace::CauseCtx;
 

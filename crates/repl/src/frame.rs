@@ -20,6 +20,8 @@
 //! a seal. There is no negative ack — loss in either direction is
 //! repaired by the shipper's go-back-N retransmission.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 
 use vino_fs::layout::checksum64;
@@ -194,7 +196,7 @@ impl Reassembler {
         if slots.iter().any(|s| s.is_none()) {
             return None;
         }
-        let slots = self.parts.remove(&seq).expect("just completed");
+        let slots = self.parts.remove(&seq)?;
         let mut body = Vec::with_capacity(slots.iter().flatten().map(Vec::len).sum());
         for chunk in slots.iter().flatten() {
             body.extend_from_slice(chunk);

@@ -11,6 +11,8 @@
 //! lane maps are exhaustive over [`TraceEvent`] — a new variant fails
 //! to compile here rather than silently vanishing from the picture.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::HashMap;
 
 use crate::trace::{NodeId, TraceEvent, TracePlane, TraceRecord};
@@ -172,11 +174,10 @@ pub fn render_timeline(plane: &TracePlane, opts: &TimelineOpts) -> String {
         Some((lo, hi)) => format!("{lo}..{hi}"),
         None => "all".to_string(),
     };
-    if records.is_empty() {
+    let (Some(first), Some(last)) = (records.first(), records.last()) else {
         return format!("== timeline: 0 records (range {range_label}) ==\n");
-    }
-    let t0 = records.first().expect("non-empty").at.get();
-    let t1 = records.last().expect("non-empty").at.get();
+    };
+    let (t0, t1) = (first.at.get(), last.at.get());
     let span = (t1 - t0).max(1);
     let col = |at: u64| (((at - t0) as u128 * (width as u128 - 1)) / span as u128) as usize;
 
@@ -299,11 +300,10 @@ pub fn render_merged_timeline(planes: &[&TracePlane], opts: &TimelineOpts) -> St
         Some((lo, hi)) => format!("{lo}..{hi}"),
         None => "all".to_string(),
     };
-    if records.is_empty() {
+    let (Some(first), Some(last)) = (records.first(), records.last()) else {
         return format!("== merged timeline: 0 records (range {range_label}) ==\n");
-    }
-    let t0 = records.first().expect("non-empty").1.at.get();
-    let t1 = records.last().expect("non-empty").1.at.get();
+    };
+    let (t0, t1) = (first.1.at.get(), last.1.at.get());
     let span = (t1 - t0).max(1);
     let col = |at: u64| (((at - t0) as u128 * (width as u128 - 1)) / span as u128) as usize;
     let lane_for =

@@ -803,6 +803,21 @@ impl Ring {
         out.extend_from_slice(&self.buf[..self.head]);
         out
     }
+
+    /// The newest `n` records (all of them if the ring holds fewer),
+    /// oldest first: the last `n` of [`ordered`](Self::ordered),
+    /// copying only those `n`.
+    fn tail(&self, n: usize) -> Vec<TraceRecord> {
+        // Oldest → newest is `older` then `newer`; an unwrapped ring has
+        // `head == 0`, so `newer` is empty and `older` is everything.
+        let (newer, older) = self.buf.split_at(self.head);
+        let n = n.min(self.buf.len());
+        let from_older = n.saturating_sub(newer.len());
+        let mut out = Vec::with_capacity(n);
+        out.extend_from_slice(&older[older.len() - from_older..]);
+        out.extend_from_slice(&newer[newer.len() - (n - from_older)..]);
+        out
+    }
 }
 
 /// An opaque snapshot of a [`TracePlane`]'s full mutable state: the
@@ -835,6 +850,8 @@ pub struct TracePlane {
     stats: CellCounters<STAT_SLOTS>,
     names: RefCell<Vec<String>>,
     tags: RefCell<HashMap<String, GraftTag>>,
+    /// The latest abort snapshot, stored with `lines` empty (see
+    /// [`TracePlane::post_mortem`]).
     post: RefCell<Option<PostMortem>>,
     pm_window: Cell<usize>,
     /// The causal context in force: stamped on every plain `emit`.
@@ -1048,11 +1065,13 @@ impl TracePlane {
         self.next_span.set(st.next_span);
     }
 
-    /// Takes the flight-recorder snapshot for an abort: the last
-    /// window's records plus the abort's vital signs. Called by the
-    /// grafting layer from its single abort exit path; the abort path
-    /// may allocate (it is not the hot path). The latest post-mortem
-    /// replaces any earlier one.
+    /// Takes the flight-recorder snapshot for an abort: a copy of the
+    /// last window's records plus the abort's vital signs. The grafting
+    /// layer calls it from its single abort exit, so it runs on every
+    /// survived abort and costs O(window), not O(ring): only the window
+    /// is copied, and its lines are rendered when
+    /// [`post_mortem`](Self::post_mortem) is read. The latest
+    /// post-mortem replaces any earlier one.
     pub fn record_post_mortem(
         &self,
         graft: &str,
@@ -1061,10 +1080,7 @@ impl TracePlane {
         undo_depth: usize,
         cost: Cycles,
     ) {
-        let all = self.ring.borrow().ordered();
-        let n = self.pm_window.get().min(all.len());
-        let tail: Vec<TraceRecord> = all[all.len() - n..].to_vec();
-        let lines = tail.iter().map(|r| self.render(r)).collect();
+        let tail = self.ring.borrow().tail(self.pm_window.get());
         *self.post.borrow_mut() = Some(PostMortem {
             graft: graft.to_string(),
             kind,
@@ -1073,13 +1089,19 @@ impl TracePlane {
             cost,
             at: self.clock.now(),
             tail,
-            lines,
+            lines: Vec::new(),
         });
     }
 
-    /// The most recent post-mortem, if any abort happened.
+    /// The most recent post-mortem, if any abort happened, with its
+    /// lines rendered now. They match a render at abort time: a record
+    /// renders from itself, the append-only name table and the node,
+    /// and only [`restore_state`](Self::restore_state) rewrites the
+    /// last two, replacing the stored post-mortem as it does.
     pub fn post_mortem(&self) -> Option<PostMortem> {
-        self.post.borrow().clone()
+        let mut pm = self.post.borrow().clone()?;
+        pm.lines = pm.tail.iter().map(|r| self.render(r)).collect();
+        Some(pm)
     }
 
     /// Clears the stored post-mortem (tests isolating scenarios).
@@ -1598,6 +1620,54 @@ mod tests {
         assert!(p.post_mortem().is_some());
         p.clear_post_mortem();
         assert!(p.post_mortem().is_none());
+    }
+
+    #[test]
+    fn ring_tail_is_the_end_of_ordered() {
+        const CAP: usize = 8;
+        // Pushes 0..=2·CAP records: every unwrapped length, then every
+        // `head` position of the wrapped ring.
+        for pushed in 0..=2 * CAP {
+            let mut ring = Ring { buf: Vec::with_capacity(CAP), cap: CAP, head: 0 };
+            for seq in 0..pushed as u64 {
+                let event = TraceEvent::FsRead { fd: 1, len: 1 };
+                ring.push(TraceRecord { seq, at: Cycles(seq), ctx: CauseCtx::NONE, event });
+            }
+            let all = ring.ordered();
+            let len = all.len();
+            for n in [0, 1, len.saturating_sub(1), len, len + 1, CAP + 3] {
+                let want = &all[len - n.min(len)..];
+                assert_eq!(ring.tail(n), want, "pushed={pushed} head={} n={n}", ring.head);
+            }
+        }
+    }
+
+    #[test]
+    fn post_mortem_lines_render_on_read_as_at_abort() {
+        let p = plane(16);
+        p.set_post_mortem_window(4);
+        let g = p.tag("victim");
+        for i in 0..10 {
+            p.emit(TraceEvent::UndoPush { thread: 1, depth: i });
+        }
+        p.emit(TraceEvent::GraftAbort { graft: g, kind: AbortKind::Trap });
+        p.record_post_mortem("victim", AbortKind::Trap, 1, 10, Cycles(77));
+        let recs = p.records();
+        let eager: Vec<String> = recs[recs.len() - 4..].iter().map(|r| p.render(r)).collect();
+        // Wrap the ring past the window and intern more names before
+        // the read.
+        for i in 0..40u32 {
+            let late = p.tag(&format!("late{}", i % 3));
+            p.emit(TraceEvent::GraftInvoke { graft: late });
+        }
+        let pm = p.post_mortem().expect("post-mortem stored");
+        assert_eq!(pm.lines, eager);
+        assert_eq!(pm.lines, pm.tail.iter().map(|r| p.render(r)).collect::<Vec<_>>());
+        // A checkpoint restored onto a plane of another node renders the
+        // same lines: the capture carries its own node and names.
+        let q = TracePlane::with_node(VirtualClock::new(), 16, NodeId(1));
+        q.restore_state(&p.export_state());
+        assert_eq!(q.post_mortem(), Some(pm));
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! body   one variable-length record per instruction
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
 
 use crate::isa::{AluOp, Cond, HostFnId, Instr, Program, Reg};
