@@ -1,6 +1,6 @@
 //! The machine-readable bench census: `vino-bench census [--json]`.
 //!
-//! Six sweeps, each also emitted as a `BENCH_<name>.json` file when
+//! Seven sweeps, each also emitted as a `BENCH_<name>.json` file when
 //! `--json` is passed (hand-rolled serialization — the census has no
 //! dependency beyond `std`):
 //!
@@ -8,12 +8,16 @@
 //!   the amortization sweep ([`netfilter::BATCH_SWEEP`]), extracted
 //!   from the same [`crate::render::PathTable`] the paper-table run
 //!   renders.
+//! - `storm` — virtual µs/packet, delivered and dropped for 1M packets
+//!   of the seeded packet storm ([`STORM_SEED`]) at filter batch sizes
+//!   1, 8, 32 and 128, in deterministic virtual time.
 //! - `planes` — wall-clock ns/op for the observability hot paths:
 //!   trace emit (with and without a causal context), span minting, a
-//!   metrics counter bump, and the `Obs` funnel's `emit` (trace record
-//!   plus derived counter) and `bill` (clock plus both ledgers). These
-//!   are host measurements, not virtual cycles, so the JSON is a
-//!   snapshot rather than a golden.
+//!   metrics counter bump, the `Obs` funnel's `emit` (trace record
+//!   plus derived counter) and `bill` (clock plus both ledgers), and
+//!   the watch plane's invocation observation and poll. These are host
+//!   measurements, not virtual cycles, so the JSON is a snapshot
+//!   rather than a golden.
 //! - `repl_window` — the replication window sweep: shipped frames,
 //!   retransmissions, drops, and drain rounds to convergence at each
 //!   window size over a lossy wire, all in deterministic virtual time.
@@ -48,11 +52,16 @@ use vino_sim::trace::{
 };
 use vino_sim::Cycles;
 
-use vino_core::hostfn;
+use vino_core::{hostfn, InstallOpts, Kernel};
+use vino_dev::Port;
 use vino_misfit::instrument;
+use vino_net::{Packet, PacketPlane};
+use vino_rm::{Limits, ResourceKind};
 use vino_sim::fault::FaultPlane;
 use vino_sim::obs::Planes;
 use vino_sim::trace::SfiKind;
+use vino_sim::watch::WatchPlane;
+use vino_sim::SplitMix64;
 use vino_vm::interp::{Exit, NullKernel, Vm};
 use vino_vm::mem::{AddressSpace, Protection};
 
@@ -124,6 +133,93 @@ pub fn netfilter_census(reps: usize) -> Census {
     Census { name: "netfilter", text, json: json_doc("netfilter", "us_per_packet", &rows) }
 }
 
+/// The packet-storm seed, the one `ci.sh` pins the storm battery to.
+pub const STORM_SEED: u64 = 3_405_691_582;
+
+/// Runs `n` packets through the plane at the given filter batch size,
+/// returning (virtual us total, delivered, dropped-by-verdict).
+fn storm(n: u64, batch: usize) -> (f64, u64, u64) {
+    let kernel = Kernel::boot();
+    let app = kernel.create_app(Limits::of(&[
+        (ResourceKind::KernelHeap, 1 << 20),
+        (ResourceKind::Memory, 1 << 24),
+    ]));
+    let thread = kernel.spawn_thread("storm-bench");
+    let plane = PacketPlane::new(Rc::clone(&kernel));
+    plane.set_batch(batch);
+
+    let well = kernel
+        .compile_graft(
+            "well-drop-odd",
+            "andi r5, r3, 1\nbne r5, r0, t\nhalt r0\nt: const r5, 1\nhalt r5",
+        )
+        .expect("the drop-odd filter compiles");
+    let opts = InstallOpts::default();
+    plane.install_filter(Port(10), &well, app, thread, &opts).expect("fresh port");
+    let spin = kernel.compile_graft("spin-filter", "spin: jmp spin").expect("the spinner compiles");
+    let g = plane.install_filter(Port(20), &spin, app, thread, &opts).expect("fresh port");
+    g.borrow_mut().max_slices = 4;
+    for p in 0..8u16 {
+        plane.open_port(Port(60 + p), 1024);
+    }
+
+    let mut rng = SplitMix64::new(STORM_SEED);
+    let t0 = kernel.clock.now();
+    let mut delivered = 0u64;
+    let mut dropped = 0u64;
+    for i in 0..n {
+        let r = rng.below(100);
+        let port = match r {
+            0..=69 => Port(60 + rng.below(8) as u16),
+            70..=95 => Port(10),
+            _ => Port(20),
+        };
+        let src = rng.next_u64() as u32;
+        plane.rx(Packet::udp(src, 1, port, vec![0xA5; 16]));
+        if i % 512 == 511 {
+            let s = plane.pump();
+            delivered += s.accepted;
+            dropped += s.dropped;
+            for p in plane.open_ports() {
+                plane.drain_delivered(p);
+            }
+        }
+    }
+    let s = plane.pump();
+    delivered += s.accepted;
+    dropped += s.dropped;
+    let us = kernel.clock.since(t0).as_us();
+    (us, delivered, dropped)
+}
+
+/// The packet-storm census: `n` packets through a mixed filter
+/// population (a well-behaved drop-odd filter, a hostile spinner that
+/// dies in its first batch, bulk default traffic) at each filter batch
+/// size, in deterministic virtual time. Batching changes the cost per
+/// packet, never which packets are delivered or dropped.
+pub fn storm_census(n: u64) -> Census {
+    let mut text = format!(
+        "{n} packets, seed {STORM_SEED}\n{:<10} {:>14} {:>12} {:>12} {:>14}\n",
+        "batch", "virtual us", "delivered", "dropped", "us/packet"
+    );
+    let mut rows = Vec::new();
+    for batch in [1usize, 8, 32, 128] {
+        let (us, delivered, dropped) = storm(n, batch);
+        let per = us / n as f64;
+        text.push_str(&format!(
+            "{batch:<10} {us:>14.0} {delivered:>12} {dropped:>12} {per:>14.3}\n"
+        ));
+        rows.push(vec![
+            ("batch", batch.to_string()),
+            ("virtual_us", format!("{us:.0}")),
+            ("delivered", delivered.to_string()),
+            ("dropped", dropped.to_string()),
+            ("us_per_packet", format!("{per:.3}")),
+        ]);
+    }
+    Census { name: "storm", text, json: json_doc("storm", "virtual_us", &rows) }
+}
+
 /// Wall-clock ns/op for one hot-path closure.
 fn ns_per_op(iters: u64, mut f: impl FnMut()) -> f64 {
     // One warmup pass keeps first-touch allocation out of the clock.
@@ -133,6 +229,21 @@ fn ns_per_op(iters: u64, mut f: impl FnMut()) -> f64 {
         f();
     }
     start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// A host-clock census: one `op | value` line and one JSON row per op,
+/// each value printed to `precision` decimals.
+fn host_census(name: &'static str, unit: &str, precision: usize, ops: &[(&str, f64)]) -> Census {
+    let w = ops.iter().map(|(op, _)| op.len()).max().unwrap_or(0);
+    let head = format!("{unit} (host wall clock)");
+    let mut text =
+        format!("{:<w$} | {head}\n{}-+-{}\n", "op", "-".repeat(w), "-".repeat(head.len()));
+    let mut rows = Vec::new();
+    for (op, ns) in ops {
+        text.push_str(&format!("{op:<w$} | {ns:.precision$}\n"));
+        rows.push(vec![("op", json_str(op)), ("ns", format!("{ns:.precision$}"))]);
+    }
+    Census { name, text, json: json_doc(name, unit, &rows) }
 }
 
 /// The observability hot-path census: ns per trace emit / span mint /
@@ -189,13 +300,16 @@ pub fn planes_census() -> Census {
         "obs_bill",
         ns_per_op(ITERS, || std::hint::black_box(&obs).bill(Component::Lock, Cycles(1))),
     ));
-    let mut text = String::from("op                   | ns/op (host wall clock)\n---------------------+------------------------\n");
-    let mut rows = Vec::new();
-    for (op, ns) in &ops {
-        text.push_str(&format!("{op:<20} | {ns:.1}\n"));
-        rows.push(vec![("op", json_str(op)), ("ns", format!("{ns:.1}"))]);
-    }
-    Census { name: "planes", text, json: json_doc("planes", "ns_per_op", &rows) }
+    // The watch plane: one invocation into a warmed principal's
+    // windows, and one poll over every rule.
+    let wp = WatchPlane::new(Rc::clone(&clock));
+    wp.touch_principal(1);
+    ops.push((
+        "watch_observe_invoke",
+        ns_per_op(ITERS, || std::hint::black_box(&wp).observe_invoke(1, Cycles(100))),
+    ));
+    ops.push(("watch_poll", ns_per_op(ITERS, || std::hint::black_box(&wp).poll())));
+    host_census("planes", "ns_per_op", 1, &ops)
 }
 
 /// The journal checksum census: ns per KB hashed by [`checksum64`]
@@ -237,13 +351,7 @@ pub fn checksum_census() -> Census {
             }) / kb(2 * BLOCK_SIZE),
         ),
     ];
-    let mut text = String::from("op                       | ns/KB (host wall clock)\n-------------------------+------------------------\n");
-    let mut rows = Vec::new();
-    for (op, ns) in &ops {
-        text.push_str(&format!("{op:<24} | {ns:.1}\n"));
-        rows.push(vec![("op", json_str(op)), ("ns", format!("{ns:.1}"))]);
-    }
-    Census { name: "checksum", text, json: json_doc("checksum", "ns_per_kb", &rows) }
+    host_census("checksum", "ns_per_kb", 1, &ops)
 }
 
 /// The GraftVM census: ns per retired instruction on the instrumented
@@ -273,13 +381,7 @@ pub fn vm_census() -> Census {
         ("table6_planes_ns_per_instr", planed),
         ("sfi_batch_ns_per_record", record),
     ];
-    let mut text = String::from("op                         | ns (host wall clock)\n---------------------------+---------------------\n");
-    let mut rows = Vec::new();
-    for (op, ns) in &ops {
-        text.push_str(&format!("{op:<26} | {ns:.2}\n"));
-        rows.push(vec![("op", json_str(op)), ("ns", format!("{ns:.2}"))]);
-    }
-    Census { name: "vm", text, json: json_doc("vm", "ns", &rows) }
+    host_census("vm", "ns", 2, &ops)
 }
 
 /// The flight-recorder census: ns per abort snapshot on full, wrapped
@@ -321,13 +423,7 @@ pub fn post_mortem_census() -> Census {
             }),
         ),
     ];
-    let mut text = String::from("op                       | ns/op (host wall clock)\n-------------------------+------------------------\n");
-    let mut rows = Vec::new();
-    for (op, ns) in &ops {
-        text.push_str(&format!("{op:<24} | {ns:.1}\n"));
-        rows.push(vec![("op", json_str(op)), ("ns", format!("{ns:.1}"))]);
-    }
-    Census { name: "post_mortem", text, json: json_doc("post_mortem", "ns_per_op", &rows) }
+    host_census("post_mortem", "ns_per_op", 1, &ops)
 }
 
 /// The MiSFIT-instrumented Table 6 encryption graft.
@@ -410,10 +506,11 @@ pub fn repl_window_census(seed: u64, steps: usize) -> Census {
     Census { name: "repl_window", text, json: json_doc("repl_window", "records", &rows) }
 }
 
-/// Runs all six censuses.
+/// Runs all seven censuses; the storm sweep runs 1M packets.
 pub fn run_all(reps: usize, seed: u64, steps: usize) -> Vec<Census> {
     vec![
         netfilter_census(reps),
+        storm_census(1_000_000),
         planes_census(),
         repl_window_census(seed, steps),
         checksum_census(),
@@ -467,6 +564,8 @@ mod tests {
                 "metrics_inc",
                 "obs_emit",
                 "obs_bill",
+                "watch_observe_invoke",
+                "watch_poll",
             ],
         );
     }
@@ -493,6 +592,23 @@ mod tests {
             &post_mortem_census(),
             &["post_mortem_ring_1k_ns", "post_mortem_ring_16k_ns", "post_mortem_read_ns"],
         );
+    }
+
+    #[test]
+    fn storm_census_is_deterministic_and_batching_never_changes_outcomes() {
+        let a = storm_census(4_000);
+        assert_eq!(a.json, storm_census(4_000).json, "virtual-time census must replay");
+        // Each row's delivered/dropped tally, which must not depend on
+        // the batch size.
+        let tallies: Vec<&str> = a
+            .json
+            .lines()
+            .filter_map(|l| {
+                l.split_once("\"delivered\"")?.1.split_once(", \"us_per").map(|(t, _)| t)
+            })
+            .collect();
+        assert_eq!(tallies.len(), 4, "one row per batch size:\n{}", a.json);
+        assert!(tallies.iter().all(|t| *t == tallies[0]), "batching changed outcomes:\n{}", a.text);
     }
 
     #[test]

@@ -229,9 +229,13 @@ impl Kernel {
 
     /// Attaches the trace plane: one canonical event stream across the
     /// whole kernel (see `docs/TRACING.md`). Recovery events from mount
-    /// are replayed into it.
+    /// are replayed into it, and an attached watch plane mirrors its
+    /// alert edges into it from now on.
     pub fn attach_trace_plane(&self, plane: Rc<TracePlane>) -> Result<(), AttachError> {
         self.engine.obs.attach_trace(Rc::clone(&plane))?;
+        if let Some(wp) = self.engine.obs.watch() {
+            wp.set_trace_plane(Rc::clone(&plane));
+        }
         self.replay_recovery(|only| only.attach_trace(plane));
         Ok(())
     }
@@ -987,5 +991,36 @@ mod tests {
         let out = stream.transform(b"attack at dawn").unwrap();
         let back: Vec<u8> = out.iter().map(|b| b ^ 0xFF).collect();
         assert_eq!(back, b"attack at dawn");
+    }
+
+    #[test]
+    fn watch_edges_reach_a_trace_plane_attached_after_the_watch_plane() {
+        let k = boot();
+        k.attach_watch_plane(WatchPlane::new(Rc::clone(&k.clock))).unwrap();
+        let tp = TracePlane::with_capacity(Rc::clone(&k.clock), 1 << 12);
+        k.attach_trace_plane(Rc::clone(&tp)).unwrap();
+        let a = app(&k);
+        let t = k.spawn_thread("app");
+        let crasher = k.compile_graft("crasher", "const r1, 0\ndiv r0, r1, r1\nhalt r0").unwrap();
+        // Three aborts inside the window fire `abort-storm`.
+        for _ in 0..3 {
+            let g = k
+                .install_function_graft(
+                    point_names::COMPUTE_RA,
+                    &crasher,
+                    a,
+                    t,
+                    &InstallOpts::default(),
+                )
+                .unwrap();
+            let out = g.borrow_mut().invoke([0; 4]);
+            assert!(matches!(out, crate::engine::InvokeOutcome::Aborted { .. }));
+        }
+        assert!(k.watch().unwrap().principal_firing(a.0), "three aborts fire abort-storm");
+        let trace = tp.serialize();
+        assert!(
+            trace.contains("watch.firing rule=abort-storm"),
+            "the alert edge is missing from the trace:\n{trace}"
+        );
     }
 }

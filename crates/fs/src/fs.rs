@@ -6,7 +6,7 @@
 //! translated to method invocations on the appropriate open-file"
 //! (§4.1.2). The open-file object is where the read-ahead graft hangs.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
@@ -274,7 +274,7 @@ impl FileSystem {
     /// superblock does not decode, or whose in-use inodes claim blocks
     /// outside the data region, overlapping another extent, or not
     /// marked allocated in the bitmap, or have a size beyond their
-    /// extents, is refused as [`FsError::BadVolume`].
+    /// extents, or share a name, is refused as [`FsError::BadVolume`].
     pub fn mount(
         clock: Rc<VirtualClock>,
         mut disk: Disk,
@@ -408,14 +408,19 @@ impl FileSystem {
     /// data region, blocks another extent already claims, or blocks
     /// the allocation bitmap does not mark — any of which would send a
     /// later read or write out of bounds or into another file — or an
-    /// in-use inode whose size outruns the blocks its extents hold. Checks
-    /// the metadata [`reload_metadata`](Self::reload_metadata) already
-    /// read, in time linear in the in-use extent blocks (plus a sort of
-    /// the extents).
+    /// in-use inode whose size outruns the blocks its extents hold, or
+    /// two in-use inodes of one name (`lookup` would only ever find the
+    /// first). Checks the metadata
+    /// [`reload_metadata`](Self::reload_metadata) already read, in time
+    /// linear in the in-use extent blocks (plus a sort of the extents).
     fn check_extents(&self) -> Result<(), FsError> {
         let (lo, hi) = (self.sb.data_start as u64, self.sb.total_blocks as u64);
         let mut claimed: Vec<(u64, u64)> = Vec::new();
+        let mut names = HashSet::new();
         for ino in self.inodes.iter().filter(|i| i.used) {
+            if !names.insert(ino.name.as_str()) {
+                return Err(FsError::BadVolume);
+            }
             let mut blocks = 0;
             for e in &ino.extents {
                 let (start, end) = (e.start as u64, e.start as u64 + e.len as u64);
@@ -1235,6 +1240,19 @@ mod tests {
         assert_eq!(fs.read(fd, 0, 2 * BLOCK_SIZE as u64), Err(FsError::BadVolume));
         assert_eq!(fs.write(fd, BLOCK_SIZE as u64, b"x"), Err(FsError::BadVolume));
         assert_eq!(fs.read(fd, 0, 4).map(|b| b.len()), Ok(4));
+    }
+
+    #[test]
+    fn duplicate_names_are_a_bad_volume() {
+        // Before the check this mounted, and "b"-renamed-"a" could never
+        // be opened or removed: `lookup` stops at the first "a".
+        let named = |name: &str| {
+            mount_forged(|ino, _| {
+                *ino = Inode { used: true, name: name.into(), size: 0, extents: vec![] };
+            })
+        };
+        assert_eq!(named("a").err(), Some(FsError::BadVolume));
+        assert!(named("c").is_ok(), "the same forgery under a fresh name mounts");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   are fixed bucket arrays; the invocation stack is a fixed-depth
 //!   array. Only graft-name interning
 //!   ([`MetricsPlane::tag`], install time) and rendering allocate —
-//!   proven by `cargo bench -p vino-bench --bench metrics_plane`.
+//!   proven by `cargo test --test zero_alloc`.
 //! - **Deterministic.** Everything is driven by the virtual clock and
 //!   integer arithmetic, so two same-seed runs produce byte-identical
 //!   snapshots (`tests/metrics_golden.rs`, `tests/survival.rs`).

@@ -29,7 +29,7 @@
 //!   time); the call-stack tree allocates only on the first sight of a
 //!   (caller, callee) edge; spans live in a fixed-capacity buffer that
 //!   drops (and counts) overflow instead of growing. Proven by
-//!   `cargo bench -p vino-bench --bench profile_plane`.
+//!   `cargo test --test zero_alloc`.
 //! - **Deterministic.** Driven entirely by the virtual clock, so two
 //!   same-seed runs render byte-identical output
 //!   (`tests/profile_golden.rs`, `tests/survival.rs`).

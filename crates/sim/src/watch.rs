@@ -19,7 +19,7 @@
 //!   arrays, the p99 aggregator a fixed sample ring sorted into a stack
 //!   scratch, principal slots a pre-reserved table, alert records
 //!   `Copy` stores into a pre-reserved ring — proven by
-//!   `cargo bench -p vino-bench --bench watch_plane`.
+//!   `cargo test --test zero_alloc`.
 //! - **Deterministic.** Everything is integer arithmetic over the
 //!   virtual clock; two same-seed runs produce byte-identical alert
 //!   streams (`tests/watch_battery.rs`).

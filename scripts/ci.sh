@@ -74,17 +74,11 @@ cargo run -q --release -p vino-bench -- lagpath --seed 3405691582 --steps 8
 echo "== differential profile gate (fails on cost-model drift; --profdiff-write to rebase) =="
 cargo run -q --release -p vino-bench -- --profdiff
 
-echo "== trace-plane zero-allocation proof =="
-cargo bench -p vino-bench --bench trace_plane
+echo "== bench census (1M-packet storm sweep, planes, checksum, VM, post-mortem) =="
+cargo run -q --release -p vino-bench -- census
 
-echo "== metrics-plane zero-allocation proof =="
-cargo bench -p vino-bench --bench metrics_plane
-
-echo "== profile-plane zero-allocation proof =="
-cargo bench -p vino-bench --bench profile_plane
-
-echo "== watch-plane zero-allocation proof =="
-cargo bench -p vino-bench --bench watch_plane
+echo "== zero-allocation proofs (trace, vm.sfi batches, metrics, profile, watch) =="
+cargo test -q --test zero_alloc
 
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings

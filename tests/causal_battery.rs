@@ -95,6 +95,7 @@ fn per_kernel_sequences_are_strictly_monotonic() {
         }
     }
     let merged = h.merged_trace();
+    assert_eq!(merged.cut(), 0, "unwrapped rings cut no causal parent");
     let mut last = std::collections::BTreeMap::new();
     for m in merged.records() {
         if let Some(&prev) = last.get(&m.node) {
@@ -111,9 +112,33 @@ fn per_kernel_sequences_are_strictly_monotonic() {
 fn merge_is_stable_under_argument_order() {
     let h = crashy_harness();
     let (p, r) = (h.primary_trace().as_ref(), h.replica_trace().as_ref());
-    let ab = TracePlane::merge_streams(&[p, r]).serialize();
-    let ba = TracePlane::merge_streams(&[r, p]).serialize();
-    assert_eq!(ab, ba, "merge_streams must not depend on argument order");
+    let (ab, ba) = (TracePlane::merge_streams(&[p, r]), TracePlane::merge_streams(&[r, p]));
+    assert_eq!((ab.cut(), ba.cut()), (0, 0), "unwrapped rings cut no causal parent");
+    assert_eq!(ab.serialize(), ba.serialize(), "merge_streams must not depend on argument order");
+}
+
+/// On rings too small for the run, the merge still checks causal order
+/// over the retained window: it tolerates only children whose parent
+/// the minting node evicted, and counts them. Each node's stream is
+/// replayed, stamps and contexts intact, into a 64-record ring.
+#[test]
+fn small_rings_cut_only_evicted_parents() {
+    let h = crashy_harness();
+    let small: Vec<Rc<TracePlane>> = [h.primary_trace(), h.replica_trace()]
+        .into_iter()
+        .map(|tp| {
+            let ring = TracePlane::with_node(Rc::clone(h.clock()), 64, tp.node());
+            for r in tp.records() {
+                ring.set_ctx(r.ctx);
+                ring.emit_stamped(&[(r.at, r.event)]);
+            }
+            ring
+        })
+        .collect();
+    assert!(small[0].stats().dropped > 0, "the primary's ring must wrap");
+    let merged = TracePlane::merge_streams(&[&small[0], &small[1]]);
+    assert!(merged.cut() > 0, "the replica's applies cite evicted primary spans");
+    assert!(merged.cut() < merged.records().len());
 }
 
 /// The merged cross-kernel stream — crash and reboot included — is a
@@ -123,7 +148,9 @@ fn merge_is_stable_under_argument_order() {
 fn merged_stream_replays_byte_identically_and_matches_golden() {
     let a = crashy_harness();
     let b = crashy_harness();
-    let (sa, sb) = (a.merged_trace().serialize(), b.merged_trace().serialize());
+    let (ma, mb) = (a.merged_trace(), b.merged_trace());
+    assert_eq!((ma.cut(), mb.cut()), (0, 0), "unwrapped rings cut no causal parent");
+    let (sa, sb) = (ma.serialize(), mb.serialize());
     assert_eq!(sa, sb, "same-seed merged streams diverged");
     check_golden("causal_merged.trace", &sa);
     let opts = TimelineOpts { width: 72, ..TimelineOpts::default() };
