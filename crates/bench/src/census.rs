@@ -609,6 +609,7 @@ mod tests {
             .collect();
         assert_eq!(tallies.len(), 4, "one row per batch size:\n{}", a.json);
         assert!(tallies.iter().all(|t| *t == tallies[0]), "batching changed outcomes:\n{}", a.text);
+        crate::golden::check("storm.census", &a.text);
     }
 
     #[test]
@@ -617,6 +618,7 @@ mod tests {
         let b = repl_window_census(0xBE9C, 6);
         assert_eq!(a.json, b.json, "virtual-time census must replay byte-identically");
         assert!(a.json.contains("\"window\": 16"));
+        crate::golden::check("repl_window.census", &a.text);
     }
 
     #[test]

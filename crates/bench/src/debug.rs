@@ -281,7 +281,6 @@ impl DebugWorld {
         let plane = FaultPlane::seeded(seed);
         k.attach_fault_plane(Rc::clone(&plane)).unwrap();
         let tp = TracePlane::with_capacity(Rc::clone(&k.clock), cfg.trace_capacity);
-        tp.set_post_mortem_window(cfg.post_mortem_window);
         k.attach_trace_plane(Rc::clone(&tp)).unwrap();
         let mp = MetricsPlane::new(Rc::clone(&k.clock));
         k.attach_metrics_plane(Rc::clone(&mp)).unwrap();
@@ -399,7 +398,6 @@ impl DebugWorld {
         plane.restore_state(&cp.fault);
         k.attach_fault_plane(Rc::clone(&plane)).unwrap();
         let tp = TracePlane::with_capacity(Rc::clone(&k.clock), cfg.trace_capacity);
-        tp.set_post_mortem_window(cfg.post_mortem_window);
         tp.restore_state(&cp.trace);
         k.attach_trace_plane(Rc::clone(&tp)).unwrap();
         let mp = MetricsPlane::new(Rc::clone(&k.clock));

@@ -22,14 +22,16 @@
 //! | [`ablation`] | design-choice ablations: eviction policy, time-out sweep |
 //! | [`tracecount`] | trace-plane event census (observability tripwire) |
 //! | [`netfilter`] | packet-filter path census + batched-dispatch sweep |
-//! | [`profdiff`] | differential profile gate (cost-model drift tripwire) |
+//! | [`profdiff`] | differential profile snapshot (cost-model drift tripwire) |
 //! | [`debug`] | debugging plane: checkpoint/restore, bisect, shrink, timelines |
+//! | [`golden`] | the one exact checker for every pinned output (`tests/goldens/`) |
 
 pub mod ablation;
 pub mod benefit;
 pub mod census;
 pub mod debug;
 pub mod equation;
+pub mod golden;
 pub mod lockfig;
 pub mod misfit_micro;
 pub mod netfilter;
@@ -76,4 +78,14 @@ pub fn full_report(reps: usize) -> String {
     out.push('\n');
     out.push_str(&tracecount::run().render());
     out
+}
+
+#[cfg(test)]
+mod tests {
+    /// Every table in the report runs on the virtual clock, so the
+    /// whole report is pinned exactly: a cost-model change moves it.
+    #[test]
+    fn full_report_matches_golden() {
+        crate::golden::check("full_report.tables", &super::full_report(5));
+    }
 }

@@ -453,33 +453,9 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--profdiff" => match vino_bench::profdiff::check() {
-                Ok(report) => {
-                    println!("{report}");
-                    return;
-                }
-                Err(errs) => {
-                    eprintln!("profdiff gate failed:");
-                    for e in errs {
-                        eprintln!("  {e}");
-                    }
-                    std::process::exit(1);
-                }
-            },
-            "--profdiff-write" => {
-                let path = vino_bench::profdiff::baseline_path();
-                std::fs::write(&path, vino_bench::profdiff::snapshot()).unwrap_or_else(|e| {
-                    eprintln!("{}: {e}", path.display());
-                    std::process::exit(2);
-                });
-                println!("wrote {}", path.display());
-                return;
-            }
             "--help" | "-h" => {
                 println!("tables: regenerate the paper's evaluation tables");
                 println!("  --reps N          samples per measurement path (default 100)");
-                println!("  --profdiff        check the profile snapshot against the baseline");
-                println!("  --profdiff-write  regenerate crates/bench/profdiff.baseline");
                 println!();
                 println!("debugging-plane subcommands (docs/DEBUGGING.md):");
                 println!("  bisect      --seed S [--steps N]   first invariant-flipping injection");

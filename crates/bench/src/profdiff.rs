@@ -1,22 +1,16 @@
-//! The differential profile gate (`docs/PROFILING.md`).
+//! The differential profile snapshot (`docs/PROFILING.md`).
 //!
 //! A pinned-seed workload runs under the profile plane and its ledger
 //! is rendered as a flat `<key> <value>` snapshot: per-component cycles
 //! for the graft and the kernel, the per-PC totals, the call-tree hot
-//! functions and the span census. The snapshot is committed as
-//! `crates/bench/profdiff.baseline`; [`compare`] diffs a fresh snapshot
-//! against it and fails on any key drifting more than the tolerance —
-//! so a cost-model change that silently shifts where cycles go breaks
-//! CI until the baseline is regenerated on purpose
-//! (`cargo run -p vino-bench -- --profdiff-write`).
-//!
-//! The virtual clock is deterministic, so on an unmodified tree every
-//! key matches exactly; the tolerance exists to state intent (what
-//! counts as a regression) rather than to absorb noise.
+//! functions and the span census. The snapshot is the golden
+//! `tests/goldens/profdiff.snapshot`, checked exactly like every other
+//! golden — so a cost-model change that silently shifts where cycles go
+//! breaks CI until the golden is regenerated on purpose
+//! (`UPDATE_GOLDENS=1 cargo test -p vino-bench profdiff`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::rc::Rc;
 
 use vino_sim::costs;
@@ -26,9 +20,6 @@ use vino_sim::Cycles;
 use crate::world::{build_profiled, Variant, World};
 use vino_sim::metrics::MetricsPlane;
 use vino_sim::profile::ProfilePlane;
-
-/// Default per-key drift tolerance, in percent.
-pub const DEFAULT_TOLERANCE_PCT: f64 = 2.0;
 
 /// Invocations in the pinned workload.
 pub const REPS: u64 = 50;
@@ -116,83 +107,6 @@ pub fn snapshot() -> String {
     out
 }
 
-/// Parses a snapshot back into its key/value map. Unparseable lines are
-/// reported, not skipped — a truncated baseline must not pass as "no
-/// keys drifted".
-pub fn parse(text: &str) -> Result<BTreeMap<String, u64>, String> {
-    let mut kv = BTreeMap::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) =
-            line.rsplit_once(' ').ok_or_else(|| format!("line {}: no value in {line:?}", i + 1))?;
-        let v: u64 =
-            v.parse().map_err(|e| format!("line {}: bad value in {line:?}: {e}", i + 1))?;
-        kv.insert(k.to_string(), v);
-    }
-    Ok(kv)
-}
-
-/// Diffs `current` against `baseline`. Returns the drift report: one
-/// line per missing key, unexpected key, or value drifting more than
-/// `tolerance_pct` percent. Empty report = gate passes.
-pub fn compare(baseline: &str, current: &str, tolerance_pct: f64) -> Result<(), Vec<String>> {
-    let (base, cur) = match (parse(baseline), parse(current)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (b, c) => {
-            let mut errs = Vec::new();
-            if let Err(e) = b {
-                errs.push(format!("baseline unreadable: {e}"));
-            }
-            if let Err(e) = c {
-                errs.push(format!("current unreadable: {e}"));
-            }
-            return Err(errs);
-        }
-    };
-    let mut errs = Vec::new();
-    for (k, &b) in &base {
-        match cur.get(k) {
-            None => errs.push(format!("{k}: in baseline but missing from current profile")),
-            Some(&c) => {
-                let drift = (c as f64 - b as f64).abs() / (b.max(1) as f64) * 100.0;
-                if drift > tolerance_pct {
-                    errs.push(format!(
-                        "{k}: baseline {b}, current {c} ({drift:+.1}% > {tolerance_pct}%)"
-                    ));
-                }
-            }
-        }
-    }
-    for k in cur.keys() {
-        if !base.contains_key(k) {
-            errs.push(format!("{k}: new key not in baseline (regenerate with --profdiff-write)"));
-        }
-    }
-    if errs.is_empty() {
-        Ok(())
-    } else {
-        Err(errs)
-    }
-}
-
-/// The committed baseline's path.
-pub fn baseline_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("profdiff.baseline")
-}
-
-/// Runs the gate against the committed baseline: `Ok(report)` on pass,
-/// `Err(lines)` on drift.
-pub fn check() -> Result<String, Vec<String>> {
-    let baseline = std::fs::read_to_string(baseline_path())
-        .map_err(|e| vec![format!("{}: {e} (run --profdiff-write)", baseline_path().display())])?;
-    let current = snapshot();
-    compare(&baseline, &current, DEFAULT_TOLERANCE_PCT)?;
-    Ok(format!("profdiff: {} keys within {DEFAULT_TOLERANCE_PCT}%", current.lines().count()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,49 +118,6 @@ mod tests {
 
     #[test]
     fn clean_tree_passes_the_gate() {
-        let s = snapshot();
-        assert!(compare(&s, &s, DEFAULT_TOLERANCE_PCT).is_ok());
-        // The committed baseline matches the live tree (regenerate with
-        // UPDATE_GOLDENS=1 or `--profdiff-write` after intentional
-        // cost-model changes).
-        if std::env::var("UPDATE_GOLDENS").is_ok() {
-            std::fs::write(baseline_path(), &s).expect("write baseline");
-            return;
-        }
-        match check() {
-            Ok(_) => {}
-            Err(errs) => panic!("profdiff gate failed:\n{}", errs.join("\n")),
-        }
-    }
-
-    #[test]
-    fn cost_model_perturbation_fails_the_gate() {
-        let s = snapshot();
-        // A deliberate perturbation: every SFI cycle gets 50% more
-        // expensive — the drift a silent cost-model edit would cause.
-        let perturbed: String = s
-            .lines()
-            .map(|l| match l.rsplit_once(' ') {
-                Some((k, v)) if k.contains("sfi") => {
-                    let v: u64 = v.parse().unwrap();
-                    format!("{k} {}\n", v * 3 / 2)
-                }
-                _ => format!("{l}\n"),
-            })
-            .collect();
-        let errs = compare(&s, &perturbed, DEFAULT_TOLERANCE_PCT)
-            .expect_err("a 50% SFI drift must fail the gate");
-        assert!(errs.iter().any(|e| e.contains("pc.sfi_cycles")), "{errs:?}");
-    }
-
-    #[test]
-    fn missing_and_new_keys_are_reported() {
-        let base = "a 1\nb 2\n";
-        let cur = "a 1\nc 3\n";
-        let errs = compare(base, cur, 100.0).unwrap_err();
-        assert!(errs.iter().any(|e| e.starts_with("b:")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.starts_with("c:")), "{errs:?}");
-        // Unreadable input is an error, never a silent pass.
-        assert!(compare("garbage", "a 1\n", 100.0).is_err());
+        crate::golden::check("profdiff.snapshot", &snapshot());
     }
 }

@@ -70,9 +70,6 @@ pub struct KernelConfig {
     /// Flight-recorder ring capacity, in trace records, for planes
     /// built from this config (see `TracePlane::with_capacity`).
     pub trace_capacity: usize,
-    /// Post-mortem window: how many trailing trace records a crash
-    /// report captures (see `TracePlane::set_post_mortem_window`).
-    pub post_mortem_window: usize,
 }
 
 impl Default for KernelConfig {
@@ -84,7 +81,6 @@ impl Default for KernelConfig {
             signing_passphrase: "vino-default-key".to_string(),
             checkpoint_interval_ms: 250,
             trace_capacity: vino_sim::trace::DEFAULT_CAPACITY,
-            post_mortem_window: vino_sim::trace::DEFAULT_POST_MORTEM_WINDOW,
         }
     }
 }

@@ -271,10 +271,11 @@ impl FileSystem {
     /// Mounts an existing volume: runs journal recovery
     /// ([`FileSystem::recover`]) over the raw disk, then rebuilds
     /// in-memory metadata from the recovered blocks. A volume whose
-    /// superblock does not decode, or whose in-use inodes claim blocks
-    /// outside the data region, overlapping another extent, or not
-    /// marked allocated in the bitmap, or have a size beyond their
-    /// extents, or share a name, is refused as [`FsError::BadVolume`].
+    /// superblock does not decode, or whose in-use inodes have a
+    /// malformed name, claim blocks outside the data region,
+    /// overlapping another extent, or not marked allocated in the
+    /// bitmap, or have a size beyond their extents, or share a name, is
+    /// refused as [`FsError::BadVolume`].
     pub fn mount(
         clock: Rc<VirtualClock>,
         mut disk: Disk,
@@ -300,7 +301,7 @@ impl FileSystem {
             recovery: None,
             recovery_notes: Vec::new(),
         };
-        fs.recover();
+        fs.recover()?;
         fs.check_extents()?;
         Ok(fs)
     }
@@ -311,12 +312,13 @@ impl FileSystem {
     /// discarded. In-memory metadata is rebuilt from the recovered
     /// blocks afterwards, so this is safe — and idempotent — to call on
     /// a mounted volume. [`FileSystem::mount`] calls it automatically.
-    pub fn recover(&mut self) -> RecoveryReport {
+    /// An in-use inode with a malformed name is [`FsError::BadVolume`].
+    pub fn recover(&mut self) -> Result<RecoveryReport, FsError> {
         let mut report = self.scan_and_replay();
         report.next_seq = self.next_seq;
-        self.reload_metadata();
         self.recovery = Some(report);
-        report
+        self.reload_metadata()?;
+        Ok(report)
     }
 
     /// The journal-recovery pass: validate, then roll forward or
@@ -445,7 +447,9 @@ impl FileSystem {
     }
 
     /// Rebuilds in-memory inode table and allocation bitmap from disk.
-    fn reload_metadata(&mut self) {
+    /// An in-use inode whose name does not decode is
+    /// [`FsError::BadVolume`], and leaves both as they were.
+    fn reload_metadata(&mut self) -> Result<(), FsError> {
         let sb = self.sb;
         let mut inodes = Vec::with_capacity(sb.max_inodes() as usize);
         for b in 0..sb.inode_blocks {
@@ -453,7 +457,7 @@ impl FileSystem {
             for i in 0..INODES_PER_BLOCK {
                 let rec: [u8; INODE_SIZE] =
                     block[i * INODE_SIZE..(i + 1) * INODE_SIZE].try_into().expect("exact");
-                inodes.push(Inode::decode(&rec));
+                inodes.push(Inode::decode(&rec).ok_or(FsError::BadVolume)?);
             }
         }
         let data_blocks = sb.total_blocks - sb.data_start;
@@ -464,6 +468,7 @@ impl FileSystem {
         bytes.truncate((data_blocks as usize).div_ceil(8));
         self.inodes = inodes;
         self.bitmap = Bitmap::from_bytes(bytes, data_blocks);
+        Ok(())
     }
 
     /// Counters.
@@ -747,7 +752,7 @@ impl FileSystem {
         for (home, _sum) in &rec.entries {
             self.cache.invalidate(BlockAddr(*home));
         }
-        self.reload_metadata();
+        self.reload_metadata()?;
         Ok(IngestOutcome::Applied { blocks: rec.entries.len() as u64 })
     }
 
@@ -1202,6 +1207,18 @@ mod tests {
     /// the journal so recovery does not redo the creates over the
     /// forgery, and mounts the result.
     fn mount_forged(forge: impl FnOnce(&mut Inode, &[DiskExtent])) -> Result<FileSystem, FsError> {
+        mount_forged_record(|rec, a| {
+            let mut ino = Inode::decode(rec).unwrap();
+            forge(&mut ino, a);
+            *rec = ino.encode();
+        })
+    }
+
+    /// Formats a volume holding "a" and "b", lets `forge` rewrite b's
+    /// raw inode record (given a's extents), and mounts the image.
+    fn mount_forged_record(
+        forge: impl FnOnce(&mut [u8; INODE_SIZE], &[DiskExtent]),
+    ) -> Result<FileSystem, FsError> {
         let clock = VirtualClock::new();
         let disk = Disk::new(Rc::clone(&clock));
         let mut fs = FileSystem::format(Rc::clone(&clock), disk, 8, 64);
@@ -1212,9 +1229,8 @@ mod tests {
         let addr = BlockAddr(1 + (idx / INODES_PER_BLOCK) as u64);
         let off = (idx % INODES_PER_BLOCK) * INODE_SIZE;
         let mut block = fs.disk.read(addr);
-        let mut ino = Inode::decode(block[off..off + INODE_SIZE].try_into().unwrap());
-        forge(&mut ino, &fs.inodes[a].extents);
-        block[off..off + INODE_SIZE].copy_from_slice(&ino.encode());
+        let rec: &mut [u8; INODE_SIZE] = (&mut block[off..off + INODE_SIZE]).try_into().unwrap();
+        forge(rec, &fs.inodes[a].extents);
         fs.disk.write(addr, &block);
         fs.disk.write(BlockAddr(fs.sb.journal_start as u64), &[0u8; BLOCK_SIZE]);
         let FileSystem { disk, .. } = fs;
@@ -1253,6 +1269,28 @@ mod tests {
         };
         assert_eq!(named("a").err(), Some(FsError::BadVolume));
         assert!(named("c").is_ok(), "the same forgery under a fresh name mounts");
+    }
+
+    #[test]
+    fn name_length_beyond_max_name_is_a_bad_volume() {
+        // Before the check the length was clamped to MAX_NAME and "b"
+        // mounted under a name that is not the one its record states.
+        let forged = mount_forged_record(|rec, _| rec[1] = MAX_NAME as u8 + 1);
+        assert_eq!(forged.err(), Some(FsError::BadVolume));
+        assert!(mount_forged_record(|rec, _| rec[1] = MAX_NAME as u8).is_ok());
+    }
+
+    #[test]
+    fn non_utf8_name_is_a_bad_volume() {
+        // Before the check the byte decoded lossily to U+FFFD, so the
+        // in-memory name no longer matched the bytes on disk.
+        let forged = mount_forged_record(|rec, _| rec[2] = 0xFF);
+        assert_eq!(forged.err(), Some(FsError::BadVolume));
+        let freed = mount_forged_record(|rec, _| {
+            rec[0] = 0;
+            rec[2] = 0xFF;
+        });
+        assert!(freed.is_ok(), "a free record's name is never read");
     }
 
     #[test]
@@ -1655,7 +1693,7 @@ mod tests {
     fn recovery_is_idempotent() {
         let (mut fs, first) = crash_during_write(FaultSite::KernelCrashAfterCommit);
         let before = fs.disk_image();
-        let again = fs.recover();
+        let again = fs.recover().unwrap();
         // Replaying the same committed transaction a second time is a
         // no-op on the image: pure redo records are idempotent.
         assert_eq!(again.replayed_txns, first.replayed_txns);

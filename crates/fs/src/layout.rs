@@ -401,11 +401,16 @@ impl Inode {
         b
     }
 
-    /// Parses an inode record.
-    pub fn decode(b: &[u8; INODE_SIZE]) -> Inode {
+    /// Parses an inode record. `None` when the record is in use and its
+    /// name is malformed: a length byte above [`MAX_NAME`], or bytes
+    /// that are not UTF-8. A free record's name is not read.
+    pub fn decode(b: &[u8; INODE_SIZE]) -> Option<Inode> {
         let used = b[0] != 0;
-        let n = (b[1] as usize).min(MAX_NAME);
-        let name = String::from_utf8_lossy(&b[2..2 + n]).into_owned();
+        let name = match used {
+            true if b[1] as usize > MAX_NAME => return None,
+            true => std::str::from_utf8(&b[2..2 + b[1] as usize]).ok()?.to_string(),
+            false => String::new(),
+        };
         let size = u64::from_le_bytes(le(b, 72));
         let count = (b[80] as usize).min(MAX_EXTENTS);
         let mut extents = Vec::with_capacity(count);
@@ -416,7 +421,7 @@ impl Inode {
                 len: u32::from_le_bytes(le(b, off + 4)),
             });
         }
-        Inode { used, name, size, extents }
+        Some(Inode { used, name, size, extents })
     }
 }
 
@@ -678,7 +683,7 @@ mod tests {
                 DiskExtent { start: 5000, len: 1072 },
             ],
         };
-        let back = Inode::decode(&ino.encode());
+        let back = Inode::decode(&ino.encode()).unwrap();
         assert_eq!(ino, back);
         assert_eq!(back.block_count(), 3072);
     }
@@ -702,7 +707,7 @@ mod tests {
     fn inode_name_truncated_to_max() {
         let long = "x".repeat(200);
         let ino = Inode { used: true, name: long, size: 0, extents: vec![] };
-        let back = Inode::decode(&ino.encode());
+        let back = Inode::decode(&ino.encode()).unwrap();
         assert_eq!(back.name.len(), MAX_NAME);
     }
 

@@ -184,18 +184,8 @@ impl KernelApi for NullKernel {
     }
 }
 
-/// Interpreter configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct VmConfig {
-    /// Maximum intra-graft call nesting before trapping.
-    pub max_call_depth: usize,
-}
-
-impl Default for VmConfig {
-    fn default() -> VmConfig {
-        VmConfig { max_call_depth: 64 }
-    }
-}
+/// Maximum intra-graft call nesting before trapping.
+pub const MAX_CALL_DEPTH: usize = 64;
 
 /// Counters describing one run; the MiSFIT micro-overhead experiment (E2)
 /// and the instrumentation tests read these.
@@ -380,7 +370,6 @@ pub struct Vm {
     pub mem: AddressSpace,
     /// Per-run counters.
     pub stats: RunStats,
-    cfg: VmConfig,
     /// The program [`run`](Self::run) executes and its run table, always
     /// decoded together.
     prog: Program,
@@ -415,21 +404,14 @@ pub struct Vm {
 }
 
 impl Vm {
-    /// Creates a context over `mem` with default configuration and no
-    /// program loaded.
+    /// Creates a context over `mem` with no program loaded.
     pub fn new(mem: AddressSpace) -> Vm {
-        Vm::with_config(mem, VmConfig::default())
-    }
-
-    /// Creates a context with an explicit configuration.
-    pub fn with_config(mem: AddressSpace, cfg: VmConfig) -> Vm {
         Vm {
             regs: [0; 16],
             pc: 0,
             call_stack: Vec::new(),
             mem,
             stats: RunStats::default(),
-            cfg,
             prog: Program::default(),
             decoded: Decoded::default(),
             obs: Planes::default(),
@@ -909,7 +891,7 @@ impl Vm {
                 self.host_call(id, env, clock)?;
             }
             Instr::CallLocal { target } => {
-                if self.call_stack.len() >= self.cfg.max_call_depth {
+                if self.call_stack.len() >= MAX_CALL_DEPTH {
                     return Err(Trap::CallDepthExceeded);
                 }
                 self.settle(clock, self.pc);

@@ -13,7 +13,7 @@
 //! in `r0`. `r15` is conventionally the graft's stack pointer within its
 //! own segment; the hardware does not enforce this. Local calls push the
 //! return address on an internal call stack (not graft memory), bounded
-//! by [`crate::interp::VmConfig::max_call_depth`].
+//! by [`crate::interp::MAX_CALL_DEPTH`].
 
 use std::fmt;
 

@@ -27,6 +27,6 @@ pub mod isa;
 pub mod mem;
 
 pub use asm::{assemble, disassemble, AsmError, SymbolTable};
-pub use interp::{Exit, KernelApi, NullKernel, Trap, Vm, VmConfig};
+pub use interp::{Exit, KernelApi, NullKernel, Trap, Vm};
 pub use isa::{AluOp, Cond, HostFnId, Instr, Program, Reg};
 pub use mem::{AddressSpace, MemError, Protection};

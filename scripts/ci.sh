@@ -41,9 +41,7 @@ echo "== golden timelines (fails on drift; UPDATE_GOLDENS=1 to regenerate) =="
 cargo test -q --test timeline_golden
 
 echo "== stale-golden guard (regenerated goldens must match the checked-in files) =="
-UPDATE_GOLDENS=1 cargo test -q --test trace_golden --test metrics_golden \
-    --test profile_golden --test timeline_golden --test repl_battery \
-    --test causal_battery --test packet_storm --test watch_battery
+UPDATE_GOLDENS=1 cargo test -q --workspace
 git diff --exit-code -- tests/goldens
 
 echo "== debugging plane (checkpoint/restore, bisect bound, shrinker minimality) =="
@@ -70,9 +68,6 @@ cargo run -q --release -p vino-bench -- repl --seed 3405691582 --steps 24
 
 echo "== lag-path CLI self-test (per-hop sum must reconcile with the lag-age gauge) =="
 cargo run -q --release -p vino-bench -- lagpath --seed 3405691582 --steps 8
-
-echo "== differential profile gate (fails on cost-model drift; --profdiff-write to rebase) =="
-cargo run -q --release -p vino-bench -- --profdiff
 
 echo "== bench census (1M-packet storm sweep, planes, checksum, VM, post-mortem) =="
 cargo run -q --release -p vino-bench -- census

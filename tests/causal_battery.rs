@@ -17,7 +17,6 @@
 //! Regenerate goldens with `UPDATE_GOLDENS=1 cargo test --test
 //! causal_battery`.
 
-use std::path::PathBuf;
 use std::rc::Rc;
 
 use vino::repl::{lag_path, ReplConfig, ReplHarness};
@@ -25,47 +24,9 @@ use vino::sim::fault::FaultSite;
 use vino::sim::metrics::Counter;
 use vino::sim::trace::TracePlane;
 use vino::sim::{render_merged_timeline, TimelineOpts};
+use vino_bench::golden;
 
 const SEED: u64 = 0xCA05_A117;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(name)
-}
-
-/// Compares `got` against the golden file, or rewrites the golden when
-/// `UPDATE_GOLDENS=1`. Same contract as the other golden batteries.
-fn check_golden(name: &str, got: &str) {
-    let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with UPDATE_GOLDENS=1 cargo test --test causal_battery",
-            path.display()
-        )
-    });
-    if got != want {
-        let mut diff = String::new();
-        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            if g != w {
-                diff.push_str(&format!("line {}:\n  golden: {w}\n  got:    {g}\n", i + 1));
-                if diff.len() > 2000 {
-                    break;
-                }
-            }
-        }
-        let (gl, wl) = (got.lines().count(), want.lines().count());
-        if gl != wl {
-            diff.push_str(&format!("line counts differ: golden {wl}, got {gl}\n"));
-        }
-        panic!(
-            "stream drifted from golden {name} — if intentional, rerun with UPDATE_GOLDENS=1\n{diff}"
-        );
-    }
-}
 
 /// The standard battery scenario: ten workload steps over a lossy wire
 /// with a replica crash (and its reboot through recovery) landed
@@ -152,14 +113,14 @@ fn merged_stream_replays_byte_identically_and_matches_golden() {
     assert_eq!((ma.cut(), mb.cut()), (0, 0), "unwrapped rings cut no causal parent");
     let (sa, sb) = (ma.serialize(), mb.serialize());
     assert_eq!(sa, sb, "same-seed merged streams diverged");
-    check_golden("causal_merged.trace", &sa);
+    golden::check("causal_merged.trace", &sa);
     let opts = TimelineOpts { width: 72, ..TimelineOpts::default() };
     let ta =
         render_merged_timeline(&[a.primary_trace().as_ref(), a.replica_trace().as_ref()], &opts);
     let tb =
         render_merged_timeline(&[b.primary_trace().as_ref(), b.replica_trace().as_ref()], &opts);
     assert_eq!(ta, tb, "same-seed merged timelines diverged");
-    check_golden("causal_merged.timeline", &ta);
+    golden::check("causal_merged.timeline", &ta);
 }
 
 /// The acceptance contract for lag attribution: the per-hop breakdown

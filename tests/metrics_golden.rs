@@ -16,7 +16,6 @@
 //! and commit the updated `.metrics` files alongside the change that
 //! caused them. See `docs/METRICS.md` for the snapshot format.
 
-use std::path::PathBuf;
 use std::rc::Rc;
 
 use vino::core::engine::InvokeOutcome;
@@ -25,43 +24,7 @@ use vino::core::{InstallError, InstallOpts, Kernel};
 use vino::rm::{Limits, ResourceKind};
 use vino::sim::fault::{FaultPlane, FaultSite};
 use vino::sim::metrics::MetricsPlane;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(format!("{name}.metrics"))
-}
-
-/// Compares `got` against the golden file, or rewrites the golden when
-/// `UPDATE_GOLDENS=1`. On mismatch the panic message carries a line
-/// diff small enough to read in CI output.
-fn check_golden(name: &str, got: &str) {
-    let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with UPDATE_GOLDENS=1 cargo test --test metrics_golden",
-            path.display()
-        )
-    });
-    if got != want {
-        let mut diff = String::new();
-        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            if g != w {
-                diff.push_str(&format!("line {}:\n  golden: {w}\n  got:    {g}\n", i + 1));
-            }
-        }
-        let (gl, wl) = (got.lines().count(), want.lines().count());
-        if gl != wl {
-            diff.push_str(&format!("line counts differ: golden {wl}, got {gl}\n"));
-        }
-        panic!(
-            "metrics drifted from golden {name} — if intentional, rerun with UPDATE_GOLDENS=1\n{diff}"
-        );
-    }
-}
+use vino_bench::golden;
 
 fn boot_metered() -> (Rc<Kernel>, Rc<MetricsPlane>) {
     let k = Kernel::boot();
@@ -86,7 +49,7 @@ fn golden_clean_commit_metrics() {
         .unwrap();
     let out = g.borrow_mut().invoke([41, 0, 0, 0]);
     assert!(matches!(out, InvokeOutcome::Ok { result: 41, .. }));
-    check_golden("clean_commit", &mp.snapshot());
+    golden::check("clean_commit.metrics", &mp.snapshot());
 }
 
 /// Scenario 2: a lock-timeout storm steals the wrapper transaction out
@@ -109,7 +72,7 @@ fn golden_lock_timeout_abort_metrics() {
     g.borrow_mut().max_slices = 4;
     let out = g.borrow_mut().invoke([0; 4]);
     assert!(matches!(out, InvokeOutcome::Aborted { .. }));
-    check_golden("lock_timeout", &mp.snapshot());
+    golden::check("lock_timeout.metrics", &mp.snapshot());
 }
 
 /// Scenario 3: three straight traps trip quarantine. The golden pins
@@ -140,7 +103,7 @@ fn golden_quarantine_trip_metrics() {
     assert!(matches!(refused, InstallError::Quarantined { .. }));
     assert_eq!(mp.get(vino::sim::metrics::Counter::GraftQuarantines), 1);
     assert!(mp.snapshot().contains("quarantined@"), "health shows the backoff deadline");
-    check_golden("quarantine", &mp.snapshot());
+    golden::check("quarantine.metrics", &mp.snapshot());
 }
 
 /// Scenario 4: the trace battery's crash-recovery scenario with a
@@ -179,5 +142,5 @@ fn golden_crash_recovery_metrics() {
     let got = mp.snapshot();
     assert!(got.contains("vino_fs_recovery_replays_total 1"), "replay flushed to metrics");
     assert!(got.contains("disk: "), "health carries the disk census");
-    check_golden("crash_recovery", &got);
+    golden::check("crash_recovery.metrics", &got);
 }

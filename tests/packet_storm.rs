@@ -27,7 +27,6 @@
 //! `PACKET_STORM_SEED=… PACKET_STORM_PACKETS=… cargo test --test packet_storm`.
 
 use std::collections::HashSet;
-use std::path::PathBuf;
 use std::rc::Rc;
 
 use vino::core::adapters::SharedGraft;
@@ -39,6 +38,7 @@ use vino::sim::fault::{FaultPlane, FaultSite};
 use vino::sim::metrics::{Counter, MetricsPlane};
 use vino::sim::trace::TracePlane;
 use vino::sim::{SplitMix64, ThreadId};
+use vino_bench::golden;
 
 const DEFAULT_SEED: u64 = 3_405_691_582; // 0xCAFEBABE
 const DEFAULT_PACKETS: u64 = 1_000_000;
@@ -311,50 +311,12 @@ fn storm_survives_hostile_filters_and_replays_identically() {
 
 // ---- Golden snapshot ----
 
-fn golden_path(ext: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/goldens")
-        .join(format!("packet_storm.{ext}"))
-}
-
-/// Compares `got` against the golden file, or rewrites it when
-/// `UPDATE_GOLDENS=1`, mirroring the trace/metrics golden batteries.
-fn check_golden(ext: &str, got: &str) {
-    let path = golden_path(ext);
-    if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with UPDATE_GOLDENS=1 cargo test --test packet_storm",
-            path.display()
-        )
-    });
-    if got != want {
-        let mut diff = String::new();
-        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            if g != w {
-                diff.push_str(&format!("line {}:\n  golden: {w}\n  got:    {g}\n", i + 1));
-            }
-        }
-        let (gl, wl) = (got.lines().count(), want.lines().count());
-        if gl != wl {
-            diff.push_str(&format!("line counts differ: golden {wl}, got {gl}\n"));
-        }
-        panic!(
-            "packet storm drifted from golden .{ext} — if intentional, rerun with UPDATE_GOLDENS=1\n{diff}"
-        );
-    }
-}
-
 /// A small fixed-size storm (seed 9, 600 packets — never env-tuned),
 /// frozen on both planes. Any change to packet-path event ordering,
 /// verdict accounting, or cycle charging shows up as a diff here.
 #[test]
 fn golden_packet_storm() {
     let tally = run_storm(9, 600);
-    check_golden("trace", &tally.trace);
-    check_golden("metrics", &tally.metrics);
+    golden::check("packet_storm.trace", &tally.trace);
+    golden::check("packet_storm.metrics", &tally.metrics);
 }

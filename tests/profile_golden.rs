@@ -16,7 +16,6 @@
 //! and commit the updated `.prof` files alongside the change that
 //! caused them. See `docs/PROFILING.md` for the snapshot format.
 
-use std::path::PathBuf;
 use std::rc::Rc;
 
 use vino::core::engine::InvokeOutcome;
@@ -25,43 +24,7 @@ use vino::core::{InstallError, InstallOpts, Kernel};
 use vino::rm::{Limits, ResourceKind};
 use vino::sim::fault::{FaultPlane, FaultSite};
 use vino::sim::profile::ProfilePlane;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(format!("{name}.prof"))
-}
-
-/// Compares `got` against the golden file, or rewrites the golden when
-/// `UPDATE_GOLDENS=1`. On mismatch the panic message carries a line
-/// diff small enough to read in CI output.
-fn check_golden(name: &str, got: &str) {
-    let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with UPDATE_GOLDENS=1 cargo test --test profile_golden",
-            path.display()
-        )
-    });
-    if got != want {
-        let mut diff = String::new();
-        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            if g != w {
-                diff.push_str(&format!("line {}:\n  golden: {w}\n  got:    {g}\n", i + 1));
-            }
-        }
-        let (gl, wl) = (got.lines().count(), want.lines().count());
-        if gl != wl {
-            diff.push_str(&format!("line counts differ: golden {wl}, got {gl}\n"));
-        }
-        panic!(
-            "profile drifted from golden {name} — if intentional, rerun with UPDATE_GOLDENS=1\n{diff}"
-        );
-    }
-}
+use vino_bench::golden;
 
 fn boot_profiled() -> (Rc<Kernel>, Rc<ProfilePlane>) {
     let k = Kernel::boot();
@@ -86,7 +49,7 @@ fn golden_clean_commit_profile() {
         .unwrap();
     let out = g.borrow_mut().invoke([41, 0, 0, 0]);
     assert!(matches!(out, InvokeOutcome::Ok { result: 41, .. }));
-    check_golden("clean_commit", &pp.snapshot());
+    golden::check("clean_commit.prof", &pp.snapshot());
 }
 
 /// Scenario 2: a lock-timeout storm steals the wrapper transaction out
@@ -111,7 +74,7 @@ fn golden_lock_timeout_abort_profile() {
     assert!(matches!(out, InvokeOutcome::Aborted { .. }));
     let snap = pp.snapshot();
     assert!(snap.contains("!abort"), "the aborted invocation is named in the trace");
-    check_golden("lock_timeout", &snap);
+    golden::check("lock_timeout.prof", &snap);
 }
 
 /// Scenario 3: three straight traps trip quarantine. The golden pins
@@ -142,5 +105,5 @@ fn golden_quarantine_trip_profile() {
     assert!(matches!(refused, InstallError::Quarantined { .. }));
     let attr = pp.attribution(pp.tag("div0")).unwrap();
     assert_eq!(attr.invocations, 3, "reinstalls share one profile tag");
-    check_golden("quarantine", &pp.snapshot());
+    golden::check("quarantine.prof", &pp.snapshot());
 }

@@ -659,7 +659,7 @@ fn torn_replay_is_repaired_by_rerunning_recovery() {
     assert_eq!(fp.injected(FaultSite::DiskTornWrite), 1, "the replay write must tear");
 
     // Second pass, fault disarmed: idempotent redo completes.
-    fs.recover();
+    fs.recover().unwrap();
     assert!(fs.disk_image() == clean_img, "second recovery pass must repair the torn block");
 }
 

@@ -20,11 +20,11 @@
 //! (`tests/goldens/repl_stall.alerts`). Regenerate with
 //! `UPDATE_GOLDENS=1 cargo test --test repl_battery`.
 
-use std::path::PathBuf;
 use std::rc::Rc;
 
 use vino::repl::{committed_state_fingerprint, ReplConfig, ReplHarness};
 use vino::sim::fault::{FaultSite, CRASH_SITES};
+use vino_bench::golden;
 
 /// Which node the scenario kills.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,42 +139,6 @@ fn double_fault_with_lossy_wire_still_converges() {
 // Satellite: the stalled-replica SLO, golden-pinned.
 // ---------------------------------------------------------------------
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(format!("{name}.alerts"))
-}
-
-/// Compares `got` against the golden file, or rewrites the golden when
-/// `UPDATE_GOLDENS=1`. Same contract as the watch battery's goldens.
-fn check_golden(name: &str, got: &str) {
-    let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with UPDATE_GOLDENS=1 cargo test --test repl_battery",
-            path.display()
-        )
-    });
-    if got != want {
-        let mut diff = String::new();
-        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            if g != w {
-                diff.push_str(&format!("line {}:\n  golden: {w}\n  got:    {g}\n", i + 1));
-            }
-        }
-        let (gl, wl) = (got.lines().count(), want.lines().count());
-        if gl != wl {
-            diff.push_str(&format!("line counts differ: golden {wl}, got {gl}\n"));
-        }
-        panic!(
-            "alert stream drifted from golden {name} — if intentional, rerun with UPDATE_GOLDENS=1\n{diff}"
-        );
-    }
-}
-
 /// A replica that stops acking is a replica that stops replicating:
 /// with every ack lost, the primary's unacked window climbs past the
 /// `replication-lag` threshold and the SLO fires deterministically;
@@ -210,5 +174,5 @@ fn stalled_replica_fires_the_replication_lag_slo() {
     let stream = run();
     assert_eq!(stream, run(), "same-seed replays must be byte-identical");
     assert!(stream.contains("rule=replication-lag"), "the stream names the rule:\n{stream}");
-    check_golden("repl_stall", &stream);
+    golden::check("repl_stall.alerts", &stream);
 }

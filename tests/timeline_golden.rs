@@ -16,7 +16,6 @@
 //! is kept exhaustive by a wildcard-free `match`, so adding an event
 //! without teaching the timeline about it fails to compile here.
 
-use std::path::PathBuf;
 use std::rc::Rc;
 
 use vino::core::kernel::KernelConfig;
@@ -28,53 +27,20 @@ use vino::sim::trace::{
 };
 use vino::sim::{render_merged_timeline, render_timeline, Cycles, TimelineOpts};
 use vino_bench::debug::{storm_timeline, FaultChoice, StormSpec, StormStep};
+use vino_bench::golden;
 
 /// Mirrors the debug battery's known-bad scenario so the golden shows a
 /// timeline with real aborts, quarantines, and fallbacks in it.
 const SEED: u64 = 3_405_691_582;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(format!("{name}.timeline"))
-}
-
-/// Compares `got` against the golden file, or rewrites the golden when
-/// `UPDATE_GOLDENS=1`. Same contract as the trace/metrics goldens.
-fn check_golden(name: &str, got: &str) {
-    let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with UPDATE_GOLDENS=1 cargo test --test timeline_golden",
-            path.display()
-        )
-    });
-    if got != want {
-        let mut diff = String::new();
-        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            if g != w {
-                diff.push_str(&format!("line {}:\n  golden: {w}\n  got:    {g}\n", i + 1));
-            }
-        }
-        let (gl, wl) = (got.lines().count(), want.lines().count());
-        if gl != wl {
-            diff.push_str(&format!("line counts differ: golden {wl}, got {gl}\n"));
-        }
-        panic!(
-            "timeline golden mismatch for `{name}`:\n{diff}\
-             regenerate with UPDATE_GOLDENS=1 cargo test --test timeline_golden if intentional"
-        );
-    }
-}
-
 #[test]
 fn storm_timeline_matches_golden() {
     let spec = StormSpec::generate(SEED, 8);
     let opts = TimelineOpts { width: 72, ..TimelineOpts::default() };
-    check_golden("storm_timeline", &storm_timeline(&spec, &KernelConfig::default(), &opts));
+    golden::check(
+        "storm_timeline.timeline",
+        &storm_timeline(&spec, &KernelConfig::default(), &opts),
+    );
 }
 
 /// The filters compose: a virtual-cycle window plus a lane allowlist
@@ -87,8 +53,8 @@ fn filtered_storm_timeline_matches_golden() {
         range: Some((114_000_000, 160_000_000)),
         lanes: Some(vec!["txn".to_string(), "fs".to_string(), "rm".to_string()]),
     };
-    check_golden(
-        "storm_timeline_filtered",
+    golden::check(
+        "storm_timeline_filtered.timeline",
         &storm_timeline(&spec, &KernelConfig::default(), &opts),
     );
 }
@@ -119,7 +85,7 @@ fn watch_alert_timeline_matches_golden() {
     for glyph in ["a", "V"] {
         assert!(lane("admission").contains(glyph), "admission lane is missing `{glyph}`:\n{out}");
     }
-    check_golden("watch_alert_timeline", &out);
+    golden::check("watch_alert_timeline.timeline", &out);
 }
 
 /// The repl lanes, under fire, on the *merged cross-kernel* timeline:
@@ -166,7 +132,7 @@ fn repl_timeline_matches_golden() {
     for glyph in ["\\", "/"] {
         assert!(lane("wire").contains(glyph), "wire lane is missing `{glyph}`:\n{out}");
     }
-    check_golden("repl_timeline", &out);
+    golden::check("repl_timeline.timeline", &out);
 }
 
 /// One exemplar of every [`TraceEvent`] variant, in declaration order.

@@ -15,7 +15,6 @@
 //! and commit the updated `.trace` files alongside the change that
 //! caused them. See `docs/TRACING.md` for the line format.
 
-use std::path::PathBuf;
 use std::rc::Rc;
 
 use vino::core::engine::InvokeOutcome;
@@ -27,43 +26,7 @@ use vino::sim::trace::TracePlane;
 use vino::sim::ThreadId;
 use vino::txn::locks::LockClass;
 use vino::txn::manager::LockOutcome;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(format!("{name}.trace"))
-}
-
-/// Compares `got` against the golden file, or rewrites the golden when
-/// `UPDATE_GOLDENS=1`. On mismatch the panic message carries a line
-/// diff small enough to read in CI output.
-fn check_golden(name: &str, got: &str) {
-    let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with UPDATE_GOLDENS=1 cargo test --test trace_golden",
-            path.display()
-        )
-    });
-    if got != want {
-        let mut diff = String::new();
-        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            if g != w {
-                diff.push_str(&format!("line {}:\n  golden: {w}\n  got:    {g}\n", i + 1));
-            }
-        }
-        let (gl, wl) = (got.lines().count(), want.lines().count());
-        if gl != wl {
-            diff.push_str(&format!("line counts differ: golden {wl}, got {gl}\n"));
-        }
-        panic!(
-            "trace drifted from golden {name} — if intentional, rerun with UPDATE_GOLDENS=1\n{diff}"
-        );
-    }
-}
+use vino_bench::golden;
 
 fn boot_traced() -> (Rc<Kernel>, Rc<TracePlane>) {
     let k = Kernel::boot();
@@ -88,7 +51,7 @@ fn golden_clean_commit() {
     let out = g.borrow_mut().invoke([41, 0, 0, 0]);
     assert!(matches!(out, InvokeOutcome::Ok { result: 41, .. }));
     assert!(tp.post_mortem().is_none(), "clean commit leaves no post-mortem");
-    check_golden("clean_commit", &tp.serialize());
+    golden::check("clean_commit.trace", &tp.serialize());
 }
 
 /// Scenario 2: a lock-timeout storm steals the wrapper transaction out
@@ -133,7 +96,7 @@ fn golden_lock_timeout_abort() {
     assert!(!fired.is_empty(), "the contended time-out fired");
 
     let got = format!("{}\n{pm}", tp.serialize());
-    check_golden("lock_timeout", &got);
+    golden::check("lock_timeout.trace", &got);
 }
 
 /// Scenario 3: three straight traps trip quarantine. The golden pins
@@ -164,7 +127,7 @@ fn golden_quarantine_trip() {
     assert!(matches!(refused, InstallError::Quarantined { .. }));
     let pm = k.post_mortem().expect("the third trap leaves a post-mortem");
     let got = format!("{}\n{pm}", tp.serialize());
-    check_golden("quarantine", &got);
+    golden::check("quarantine.trace", &got);
 }
 
 /// Scenario 4: a kernel crash after the journal commit marker, then a
@@ -200,5 +163,5 @@ fn golden_crash_recovery() {
         assert_eq!(fs.read(fd, 0, 9).unwrap(), b"in flight");
         fs.write(fd, 0, b"post-recovery write").unwrap();
     }
-    check_golden("crash_recovery", &tp.serialize());
+    golden::check("crash_recovery.trace", &tp.serialize());
 }

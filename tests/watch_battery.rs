@@ -18,7 +18,6 @@
 //! Regenerate goldens with `UPDATE_GOLDENS=1 cargo test --test
 //! watch_battery`.
 
-use std::path::PathBuf;
 use std::rc::Rc;
 
 use vino::core::engine::InvokeOutcome;
@@ -30,46 +29,11 @@ use vino::sim::trace::TracePlane;
 use vino::sim::watch::WatchPlane;
 use vino::sim::Cycles;
 use vino_bench::debug::{run_storm_world, FaultChoice, StormOpts, StormSpec, StormStep};
+use vino_bench::golden;
 
 /// Same known-bad seed as the debug battery, so the full-storm
 /// reconciliation below runs the scenario the rest of the repo pins.
 const SEED: u64 = 3_405_691_582;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(format!("{name}.alerts"))
-}
-
-/// Compares `got` against the golden file, or rewrites the golden when
-/// `UPDATE_GOLDENS=1`. Same contract as the trace/metrics goldens.
-fn check_golden(name: &str, got: &str) {
-    let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with UPDATE_GOLDENS=1 cargo test --test watch_battery",
-            path.display()
-        )
-    });
-    if got != want {
-        let mut diff = String::new();
-        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            if g != w {
-                diff.push_str(&format!("line {}:\n  golden: {w}\n  got:    {g}\n", i + 1));
-            }
-        }
-        let (gl, wl) = (got.lines().count(), want.lines().count());
-        if gl != wl {
-            diff.push_str(&format!("line counts differ: golden {wl}, got {gl}\n"));
-        }
-        panic!(
-            "alert stream drifted from golden {name} — if intentional, rerun with UPDATE_GOLDENS=1\n{diff}"
-        );
-    }
-}
 
 /// A kernel with trace, metrics and watch planes attached (in that
 /// order — the watch plane mirrors alert edges into the trace), plus a
@@ -203,7 +167,7 @@ fn tenant_storm_alert_stream_is_golden_and_replayable() {
     let hostile_blamed =
         stream.lines().filter(|l| l.contains("rule=abort-storm principal=")).count();
     assert_eq!(hostile_blamed, 2, "both edges carry per-principal blame");
-    check_golden("tenant_storm", &stream);
+    golden::check("tenant_storm.alerts", &stream);
 }
 
 /// A dense hostile storm: one-shot VM traps on three back-to-back
@@ -237,7 +201,7 @@ fn debug_storm_alert_stream_is_golden_and_replayable() {
     assert!(stats.resolved > 0, "the calm tail must resolve it");
     assert!(admission.denies > 0, "the storm's install loop hit the admission gate");
     assert!(admission.allows > 0, "the storm recovers once the window decays");
-    check_golden("debug_storm", &stream);
+    golden::check("debug_storm.alerts", &stream);
 }
 
 /// Exact reconciliation between the watch plane's attribution and the
