@@ -23,8 +23,9 @@
 //!   window size over a lossy wire, all in deterministic virtual time.
 //! - `checksum` — wall-clock ns/KB for the journal's FNV-1a 64: one
 //!   chain over a data block and over a zero block, and the two-lane
-//!   helper over a pair of data blocks. Host measurements, like
-//!   `planes`.
+//!   helper over a pair of data blocks; and ns per payload KB to cut a
+//!   3-block journal record into replication fragments and reassemble
+//!   it into a verified record. Host measurements, like `planes`.
 //! - `vm` — wall-clock ns per retired GraftVM instruction on the
 //!   MiSFIT-instrumented Table 6 encryption graft, bare and with the
 //!   fault, trace, metrics and profile planes bound, plus ns per
@@ -39,9 +40,9 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use vino_fs::layout::{checksum64, checksum64_x2};
-use vino_fs::BLOCK_SIZE;
-use vino_repl::{ReplConfig, ReplHarness};
+use vino_fs::layout::{block_checksums, checksum64, checksum64_x2};
+use vino_fs::{JournalRecord, VerifiedRecord, BLOCK_SIZE};
+use vino_repl::{fragment, Reassembler, ReplConfig, ReplHarness};
 use vino_sim::clock::VirtualClock;
 use vino_sim::fault::FaultSite;
 use vino_sim::metrics::{Component, Counter, MetricsPlane};
@@ -314,7 +315,9 @@ pub fn planes_census() -> Census {
 
 /// The journal checksum census: ns per KB hashed by [`checksum64`]
 /// over a data block and a zero block, and by [`checksum64_x2`] over a
-/// pair of data blocks, measured in host time.
+/// pair of data blocks, and ns per payload KB for a 3-block record's
+/// wire round trip ([`fragment`], then [`Reassembler::accept`] up to
+/// the verified record), measured in host time.
 pub fn checksum_census() -> Census {
     const ITERS: u64 = 5_000;
     let kb = |bytes: usize| bytes as f64 / 1024.0;
@@ -328,6 +331,10 @@ pub fn checksum_census() -> Census {
     }
     let other = data.map(|b| b.rotate_left(3));
     let zero = [0u8; BLOCK_SIZE];
+    let payloads = vec![data, other, data.map(|b| b.rotate_left(5))];
+    let entries = (100..).zip(block_checksums(&payloads)).collect();
+    let rec = VerifiedRecord::verify(JournalRecord { seq: 1, entries, payloads })
+        .expect("the sums were just computed");
     // Inputs and sums go through `black_box`, so the optimizer can
     // neither hash a constant block once nor drop an unused sum.
     let ops = [
@@ -349,6 +356,16 @@ pub fn checksum_census() -> Census {
                 let (a, b) = std::hint::black_box((&data, &other));
                 std::hint::black_box(checksum64_x2(a, b));
             }) / kb(2 * BLOCK_SIZE),
+        ),
+        (
+            "repl_frame_round_trip",
+            ns_per_op(ITERS / 5, || {
+                let frags = fragment(std::hint::black_box(&rec), CauseCtx::NONE);
+                let mut r = Reassembler::new();
+                let done = frags.iter().filter_map(|f| r.accept(f)).next();
+                assert!(done.is_some(), "a clean record must reassemble");
+                std::hint::black_box(done);
+            }) / kb(3 * BLOCK_SIZE),
         ),
     ];
     host_census("checksum", "ns_per_kb", 1, &ops)
@@ -574,7 +591,12 @@ mod tests {
     fn checksum_census_measures_every_path() {
         assert_measures_every_op(
             &checksum_census(),
-            &["checksum64_data_block", "checksum64_zero_block", "checksum64_x2_block_pair"],
+            &[
+                "checksum64_data_block",
+                "checksum64_zero_block",
+                "checksum64_x2_block_pair",
+                "repl_frame_round_trip",
+            ],
         );
     }
 

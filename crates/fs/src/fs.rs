@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use vino_dev::disk::{BlockAddr, Disk, DiskImage};
@@ -38,6 +39,8 @@ pub enum FsError {
     Exists(String),
     /// The name exceeds the inode's capacity.
     NameTooLong,
+    /// The name is empty.
+    EmptyName,
     /// Free space exists but not in few enough contiguous runs.
     TooFragmented,
     /// Not enough free blocks.
@@ -62,6 +65,7 @@ impl fmt::Display for FsError {
             FsError::NotFound(n) => write!(f, "no such file: {n}"),
             FsError::Exists(n) => write!(f, "file exists: {n}"),
             FsError::NameTooLong => write!(f, "file name too long"),
+            FsError::EmptyName => write!(f, "empty file name"),
             FsError::TooFragmented => write!(f, "free space too fragmented"),
             FsError::NoSpace => write!(f, "no space on volume"),
             FsError::VolumeFull => write!(f, "inode table full"),
@@ -159,7 +163,7 @@ pub struct RecoveryReport {
 /// replication shipping: the home addresses with their payload
 /// checksums (exactly the descriptor's entry table), plus the payload
 /// blocks themselves. [`FileSystem::committed_records`] tails these in
-/// sequence order; a replica applies them via
+/// sequence order as [`VerifiedRecord`]s; a replica applies them via
 /// [`FileSystem::ingest_replicated`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalRecord {
@@ -169,6 +173,48 @@ pub struct JournalRecord {
     pub entries: Vec<(u64, u64)>,
     /// Payload blocks, parallel to `entries`.
     pub payloads: Vec<[u8; BLOCK_SIZE]>,
+}
+
+/// A [`JournalRecord`] whose payload blocks are known to match its
+/// entry table: one payload per entry, and each block's
+/// [`checksum64`] equal to its entry's sum. The record sits in a
+/// private field, so holding one is the proof. Outside this crate only
+/// [`VerifiedRecord::verify`], which hashes, builds one; inside it, the
+/// local journal does, from sums its commit has just computed or its
+/// recovery scan has just checked. [`FileSystem::ingest_replicated`]
+/// takes this type and does not hash again.
+///
+/// ```compile_fail,E0603
+/// use vino_fs::{JournalRecord, VerifiedRecord};
+/// let rec = JournalRecord { seq: 1, entries: vec![(9, 0)], payloads: vec![[1; 4096]] };
+/// let forged = VerifiedRecord(rec); // the field is private: no proof without `verify`
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerifiedRecord(JournalRecord);
+
+impl VerifiedRecord {
+    /// Checks `rec`'s shape (one payload per entry, at least one), then
+    /// each payload block against its entry's sum, two blocks per pass
+    /// ([`block_checksums`]). [`FsError::BadVolume`] if any of it does
+    /// not hold.
+    pub fn verify(rec: JournalRecord) -> Result<VerifiedRecord, FsError> {
+        if rec.entries.len() != rec.payloads.len() || rec.entries.is_empty() {
+            return Err(FsError::BadVolume);
+        }
+        let sums = block_checksums(&rec.payloads);
+        if rec.entries.iter().zip(sums).any(|((_home, want), got)| got != *want) {
+            return Err(FsError::BadVolume);
+        }
+        Ok(VerifiedRecord(rec))
+    }
+}
+
+impl Deref for VerifiedRecord {
+    type Target = JournalRecord;
+
+    fn deref(&self) -> &JournalRecord {
+        &self.0
+    }
 }
 
 /// Outcome of [`FileSystem::ingest_replicated`].
@@ -216,7 +262,7 @@ pub struct FileSystem {
     /// Committed journal records retained for replication shipping,
     /// sequence-ordered. Pruned by cumulative acks
     /// ([`prune_committed`](Self::prune_committed)).
-    committed: Vec<JournalRecord>,
+    committed: Vec<VerifiedRecord>,
     /// Highest committed sequence ever retained (survives pruning).
     last_committed: u64,
     /// Per-sequence seal spans: the causal span minted at each
@@ -374,7 +420,9 @@ impl FileSystem {
         }
         report.replayed_txns += 1;
         report.replayed_blocks += n as u64;
-        self.retain_committed(JournalRecord { seq, entries: desc.entries.clone(), payloads });
+        // Each payload was checked against its entry as it was read.
+        let rec = JournalRecord { seq, entries: desc.entries.clone(), payloads };
+        self.retain_committed(VerifiedRecord(rec));
         self.note_recovery(TraceEvent::FsRecoveryReplay { seq, blocks: n as u64 });
         report
     }
@@ -410,8 +458,9 @@ impl FileSystem {
     /// data region, blocks another extent already claims, or blocks
     /// the allocation bitmap does not mark — any of which would send a
     /// later read or write out of bounds or into another file — or an
-    /// in-use inode whose size outruns the blocks its extents hold, or
-    /// two in-use inodes of one name (`lookup` would only ever find the
+    /// in-use inode whose size outruns the blocks its extents hold, an
+    /// in-use inode with an empty name (`create` refuses one), or two
+    /// in-use inodes of one name (`lookup` would only ever find the
     /// first). Checks the metadata
     /// [`reload_metadata`](Self::reload_metadata) already read, in time
     /// linear in the in-use extent blocks (plus a sort of the extents).
@@ -420,7 +469,7 @@ impl FileSystem {
         let mut claimed: Vec<(u64, u64)> = Vec::new();
         let mut names = HashSet::new();
         for ino in self.inodes.iter().filter(|i| i.used) {
-            if !names.insert(ino.name.as_str()) {
+            if ino.name.is_empty() || !names.insert(ino.name.as_str()) {
                 return Err(FsError::BadVolume);
             }
             let mut blocks = 0;
@@ -619,7 +668,8 @@ impl FileSystem {
     /// and replicated ones
     /// ([`ingest_replicated`](Self::ingest_replicated)), so both honour
     /// the same crash points. `entries` holds each payload's `(home
-    /// block, checksum)`; the caller has computed or verified the sums.
+    /// block, checksum)`; the caller has computed or verified the sums,
+    /// and the retained [`VerifiedRecord`] rests on them.
     fn commit_record<'a>(
         &mut self,
         seq: u64,
@@ -655,11 +705,11 @@ impl FileSystem {
         }
         // Commit is durable: retain the record for replication shipping
         // before any later crash point can interrupt the checkpoint.
-        self.retain_committed(JournalRecord {
+        self.retain_committed(VerifiedRecord(JournalRecord {
             seq,
             entries: desc.entries.clone(),
             payloads: payloads.clone().copied().collect(),
-        });
+        }));
         self.crash_point(FaultSite::KernelCrashAfterCommit)?;
         for ((home, _sum), data) in desc.entries.iter().zip(payloads) {
             self.crash_point(FaultSite::KernelCrashMidCheckpoint)?;
@@ -678,7 +728,7 @@ impl FileSystem {
     /// Retains one committed record for the replication tail,
     /// idempotently by sequence (recovery may re-commit a sequence the
     /// tail already holds).
-    fn retain_committed(&mut self, rec: JournalRecord) {
+    fn retain_committed(&mut self, rec: VerifiedRecord) {
         if self.last_committed >= rec.seq {
             return;
         }
@@ -691,7 +741,7 @@ impl FileSystem {
     /// retained, so everything yielded here is durable. Readable even
     /// on a halted instance — this is the replication harness reading
     /// the commit history, not an I/O.
-    pub fn committed_records(&self, seq_from: u64) -> impl Iterator<Item = &JournalRecord> + '_ {
+    pub fn committed_records(&self, seq_from: u64) -> impl Iterator<Item = &VerifiedRecord> + '_ {
         let start = self.committed.partition_point(|r| r.seq < seq_from);
         self.committed[start..].iter()
     }
@@ -723,11 +773,13 @@ impl FileSystem {
     /// exact-next sequences are journalled and checkpointed through the
     /// same commit pipeline (and crash points) as a local transaction,
     /// already-applied sequences are skipped, and a sequence gap is
-    /// refused so the shipper retransmits. Payload checksums are
-    /// re-verified against the record's entry table before any write.
-    /// In-memory metadata is rebuilt after a successful apply, so the
-    /// replica stays mountable-equivalent to its own disk.
-    pub fn ingest_replicated(&mut self, rec: &JournalRecord) -> Result<IngestOutcome, FsError> {
+    /// refused so the shipper retransmits. The payloads are not hashed
+    /// here: a [`VerifiedRecord`] was checked where it was built. A
+    /// record larger than this volume's journal is
+    /// [`FsError::BadVolume`]. In-memory metadata is rebuilt after a
+    /// successful apply, so the replica stays mountable-equivalent to
+    /// its own disk.
+    pub fn ingest_replicated(&mut self, rec: &VerifiedRecord) -> Result<IngestOutcome, FsError> {
         self.check_power()?;
         if rec.seq < self.next_seq {
             return Ok(IngestOutcome::Duplicate);
@@ -735,19 +787,11 @@ impl FileSystem {
         if rec.seq > self.next_seq {
             return Ok(IngestOutcome::Gap { expected: self.next_seq });
         }
-        if rec.entries.len() != rec.payloads.len()
-            || rec.entries.is_empty()
-            || rec.entries.len() > self.sb.journal_capacity()
-        {
-            return Err(FsError::BadVolume);
-        }
-        let sums = block_checksums(&rec.payloads);
-        if rec.entries.iter().zip(sums).any(|((_home, want), got)| got != *want) {
+        if rec.entries.is_empty() || rec.entries.len() > self.sb.journal_capacity() {
             return Err(FsError::BadVolume);
         }
         self.crash_point(FaultSite::KernelCrashBeforeJournal)?;
         self.next_seq = rec.seq + 1;
-        // The sums just verified are the record's own entry table.
         self.commit_record(rec.seq, rec.entries.clone(), rec.payloads.iter(), false)?;
         for (home, _sum) in &rec.entries {
             self.cache.invalidate(BlockAddr(*home));
@@ -803,6 +847,9 @@ impl FileSystem {
     /// first-fit, at most [`MAX_EXTENTS`] runs).
     pub fn create(&mut self, name: &str, size: u64) -> Result<(), FsError> {
         self.check_power()?;
+        if name.is_empty() {
+            return Err(FsError::EmptyName);
+        }
         if name.len() > MAX_NAME {
             return Err(FsError::NameTooLong);
         }
@@ -1272,6 +1319,25 @@ mod tests {
     }
 
     #[test]
+    fn empty_name_is_a_bad_volume() {
+        // Before the check this mounted, and the nameless file could
+        // only be opened as "".
+        let forged = mount_forged(|ino, _| ino.name.clear());
+        assert_eq!(forged.err(), Some(FsError::BadVolume));
+        let freed = mount_forged(|ino, _| *ino = Inode::default());
+        assert!(freed.is_ok(), "a free record's empty name is never checked");
+    }
+
+    #[test]
+    fn create_refuses_an_empty_name() {
+        let mut fs = fresh(8);
+        let free = fs.bitmap.free_count();
+        assert_eq!(fs.create("", BLOCK_SIZE as u64), Err(FsError::EmptyName));
+        assert_eq!(fs.bitmap.free_count(), free, "nothing was allocated");
+        assert_eq!(fs.open(""), Err(FsError::NotFound(String::new())));
+    }
+
+    #[test]
     fn name_length_beyond_max_name_is_a_bad_volume() {
         // Before the check the length was clamped to MAX_NAME and "b"
         // mounted under a name that is not the one its record states.
@@ -1658,7 +1724,7 @@ mod tests {
         p.create("f", 4 * BLOCK_SIZE as u64).unwrap();
         let fd = p.open("f").unwrap();
         p.write(fd, 0, b"replicate me").unwrap();
-        let recs: Vec<JournalRecord> = p.committed_records(1).cloned().collect();
+        let recs: Vec<VerifiedRecord> = p.committed_records(1).cloned().collect();
         assert_eq!(recs.len(), 2);
 
         // A replica formatted identically converges record by record.
@@ -1681,12 +1747,33 @@ mod tests {
         for addr in pi.written().chain(ri.written()) {
             assert_eq!(pi.block(addr), ri.block(addr), "block {addr:?} diverged");
         }
+    }
 
-        // A corrupted payload is refused before anything is written.
-        let mut bad = recs[0].clone();
-        bad.seq = r.last_committed_seq() + 1;
-        bad.payloads[0][0] ^= 0xFF;
-        assert_eq!(r.ingest_replicated(&bad), Err(FsError::BadVolume));
+    #[test]
+    fn verify_refuses_a_record_whose_payloads_do_not_match_its_entries() {
+        let mut p = fresh(8);
+        p.create("f", 4 * BLOCK_SIZE as u64).unwrap();
+        let fd = p.open("f").unwrap();
+        p.write(fd, 0, &[0x5A; 2 * BLOCK_SIZE]).unwrap();
+        let rec = p.committed_records(2).next().unwrap().clone();
+        assert_eq!(rec.entries.len(), 2);
+        assert_eq!(VerifiedRecord::verify(JournalRecord::clone(&rec)), Ok(rec.clone()));
+        // A flipped byte in either block, or in either entry's sum, is
+        // refused: such a record never reaches `ingest_replicated`.
+        for block in 0..2 {
+            let mut bad = JournalRecord::clone(&rec);
+            bad.payloads[block][BLOCK_SIZE - 1] ^= 0xFF;
+            assert_eq!(VerifiedRecord::verify(bad), Err(FsError::BadVolume), "payload {block}");
+            let mut bad = JournalRecord::clone(&rec);
+            bad.entries[block].1 ^= 1;
+            assert_eq!(VerifiedRecord::verify(bad), Err(FsError::BadVolume), "entry {block}");
+        }
+        // So is a payload without an entry, and an empty record.
+        let mut bad = JournalRecord::clone(&rec);
+        bad.entries.pop();
+        assert_eq!(VerifiedRecord::verify(bad), Err(FsError::BadVolume));
+        let empty = JournalRecord { seq: rec.seq, entries: vec![], payloads: vec![] };
+        assert_eq!(VerifiedRecord::verify(empty), Err(FsError::BadVolume));
     }
 
     #[test]

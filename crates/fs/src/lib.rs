@@ -28,6 +28,6 @@ pub mod layout;
 pub use cache::{BufferCache, CacheStats};
 pub use fs::{
     Extent, Fd, FileSystem, FsError, FsStats, IngestOutcome, JournalRecord, RaRequest,
-    ReadAheadDelegate, RecoveryReport,
+    ReadAheadDelegate, RecoveryReport, VerifiedRecord,
 };
 pub use layout::{Inode, JournalDescriptor, SuperBlock, BLOCK_SIZE};

@@ -45,7 +45,7 @@ use std::rc::Rc;
 use vino_core::kernel::{Kernel, KernelConfig};
 use vino_dev::{BlockAddr, Disk, DiskImage};
 use vino_fs::layout::checksum64;
-use vino_fs::{Fd, FileSystem, FsError, IngestOutcome, JournalRecord, SuperBlock, BLOCK_SIZE};
+use vino_fs::{Fd, FileSystem, FsError, IngestOutcome, SuperBlock, VerifiedRecord, BLOCK_SIZE};
 use vino_net::{Packet, PacketPlane, REPL_PORT};
 use vino_sim::clock::{Cycles, VirtualClock};
 use vino_sim::fault::{FaultPlane, FaultSite};
@@ -392,14 +392,15 @@ impl ReplHarness {
             rep.lag = self.lag();
             return rep;
         }
-        // 1. The in-flight window: committed but unacked, oldest first.
-        let window: Vec<JournalRecord> = {
-            let fs = self.primary.fs.borrow();
-            fs.committed_records(self.acked + 1).take(self.cfg.window as usize).cloned().collect()
-        };
+        // 1. The in-flight window: committed but unacked, oldest first,
+        // read in place from the primary's retained tail (nothing
+        // before the ack writes the primary's file system).
+        let primary = Rc::clone(&self.primary);
+        let tail = primary.fs.borrow();
+        let window = tail.committed_records(self.acked + 1).take(self.cfg.window as usize);
         // 2. Wire faults: whole-frame drops, then reorders between
         // adjacent frames still in the window.
-        let mut batch = Vec::with_capacity(window.len());
+        let mut batch = Vec::new();
         for rec in window {
             if self.primary.engine.obs.fire(FaultSite::ReplShipDrop) {
                 let drop_ctx = self.primary_trace().mint_span(self.seal_span_of(rec.seq));
@@ -424,7 +425,7 @@ impl ReplHarness {
         // 3. Ship each frame: fragment, inject, pump, reassemble,
         // apply. An out-of-order frame lands as a Gap and is repaired
         // by next round's retransmission.
-        for rec in &batch {
+        for rec in batch {
             if rec.seq <= self.high_shipped {
                 self.metrics_plane().inc(Counter::ReplRetransmits);
                 rep.retransmits += 1;
@@ -487,6 +488,7 @@ impl ReplHarness {
                 }
             }
         }
+        drop(tail);
         // 4. Cumulative ack, one small frame on the return path. It
         // carries the replica's latest ingest context so the primary's
         // ReplAck span chains cross-kernel.
@@ -562,11 +564,9 @@ impl ReplHarness {
     /// committed state, and promote the replica by booting a fresh
     /// kernel from its disk image. Returns the promoted kernel.
     pub fn failover(&mut self) -> Rc<Kernel> {
-        let pending: Vec<JournalRecord> = {
-            let fs = self.primary.fs.borrow();
-            fs.committed_records(self.applied + 1).cloned().collect()
-        };
-        for rec in pending {
+        let primary = Rc::clone(&self.primary);
+        let tail = primary.fs.borrow();
+        for rec in tail.committed_records(self.applied + 1) {
             // No ship leg here — the drain reads the durable journal
             // directly, so the ingest span chains straight off the
             // record's seal span.
@@ -576,7 +576,7 @@ impl ReplHarness {
                 .replica
                 .fs
                 .borrow_mut()
-                .ingest_replicated(&rec)
+                .ingest_replicated(rec)
                 .expect("the failover drain is fault-free");
             self.replica_trace().set_ctx(prev);
             match out {
@@ -639,7 +639,7 @@ impl ReplHarness {
     /// ingest's span in force, so the torn journal events still chain
     /// off `ship` — and reboots it from its crash image through
     /// mount-time recovery.
-    fn crash_replica_mid_apply(&mut self, rec: &JournalRecord, ship: CauseCtx) {
+    fn crash_replica_mid_apply(&mut self, rec: &VerifiedRecord, ship: CauseCtx) {
         let site = self.cfg.crash_site;
         self.fault_plane().arm(site, self.fault_plane().visits(site) + 1);
         let ingest_ctx = self.replica_trace().mint_span(ship.span);
@@ -686,15 +686,11 @@ impl ReplHarness {
 
     /// Applies committed records onto the shadow volume up to `upto`.
     fn sync_shadow(&mut self, upto: u64) {
-        let recs: Vec<JournalRecord> = {
-            let fs = self.primary.fs.borrow();
-            fs.committed_records(self.shadow.last_committed_seq() + 1)
-                .take_while(|r| r.seq <= upto)
-                .cloned()
-                .collect()
-        };
-        for rec in recs {
-            let out = self.shadow.ingest_replicated(&rec).expect("the shadow volume never faults");
+        let primary = Rc::clone(&self.primary);
+        let tail = primary.fs.borrow();
+        let recs = tail.committed_records(self.shadow.last_committed_seq() + 1);
+        for rec in recs.take_while(|r| r.seq <= upto) {
+            let out = self.shadow.ingest_replicated(rec).expect("the shadow volume never faults");
             assert!(
                 matches!(out, IngestOutcome::Applied { .. }),
                 "the shadow applies strictly in order"

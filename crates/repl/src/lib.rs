@@ -8,11 +8,12 @@
 //! rebooting it, but by failing over past it.
 //!
 //! - [`frame`] — the wire contract: a committed
-//!   [`JournalRecord`](vino_fs::JournalRecord) marshalled into a record
-//!   frame (entry table + payload blocks + a fresh FNV-1a seal bound to
-//!   the sequence), fragmented under the packet plane's
-//!   [`PAYLOAD_CAP`](vino_net::PAYLOAD_CAP), plus the cumulative-ack
-//!   frame and the reassembler.
+//!   [`VerifiedRecord`](vino_fs::VerifiedRecord) cut into record-frame
+//!   fragments under the packet plane's
+//!   [`PAYLOAD_CAP`](vino_net::PAYLOAD_CAP) (entry table + payload
+//!   blocks + a fresh FNV-1a seal over the header, bound to the
+//!   sequence), the cumulative-ack frame, and the reassembler, which
+//!   checks each payload block once and yields a verified record.
 //! - [`harness`] — the [`ReplHarness`]: two kernels off one virtual
 //!   clock, a bounded in-flight shipping window with go-back-N
 //!   retransmission over cumulative acks, wire faults
@@ -39,7 +40,7 @@ pub mod frame;
 pub mod harness;
 pub mod lagpath;
 
-pub use frame::{decode_ack, encode_ack, fragment, marshal, unmarshal, Reassembler};
+pub use frame::{decode_ack, encode_ack, fragment, Reassembler};
 pub use harness::{
     assert_committed_states_match, committed_state_fingerprint, NodeDeath, ReplConfig, ReplHarness,
     RoundReport, ShippingState, WorkloadReport, WIRE_CYCLES,
