@@ -21,9 +21,8 @@
 //! - `repl_window` — the replication window sweep: shipped frames,
 //!   retransmissions, drops, and drain rounds to convergence at each
 //!   window size over a lossy wire, all in deterministic virtual time.
-//! - `checksum` — wall-clock ns/KB for the journal's FNV-1a 64: one
-//!   chain over a data block and over a zero block, and the two-lane
-//!   helper over a pair of data blocks; and ns per payload KB to cut a
+//! - `checksum` — wall-clock ns/KB for the journal's `checksum64` over
+//!   a data block and over a zero block, and ns per payload KB to cut a
 //!   3-block journal record into replication fragments and reassemble
 //!   it into a verified record. Host measurements, like `planes`.
 //! - `vm` — wall-clock ns per retired GraftVM instruction on the
@@ -40,7 +39,7 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use vino_fs::layout::{block_checksums, checksum64, checksum64_x2};
+use vino_fs::layout::{block_checksums, checksum64};
 use vino_fs::{JournalRecord, VerifiedRecord, BLOCK_SIZE};
 use vino_repl::{fragment, Reassembler, ReplConfig, ReplHarness};
 use vino_sim::clock::VirtualClock;
@@ -314,10 +313,10 @@ pub fn planes_census() -> Census {
 }
 
 /// The journal checksum census: ns per KB hashed by [`checksum64`]
-/// over a data block and a zero block, and by [`checksum64_x2`] over a
-/// pair of data blocks, and ns per payload KB for a 3-block record's
-/// wire round trip ([`fragment`], then [`Reassembler::accept`] up to
-/// the verified record), measured in host time.
+/// over a data block and a zero block, and ns per payload KB for a
+/// 3-block record's wire round trip ([`fragment`], then
+/// [`Reassembler::accept`] up to the verified record), measured in
+/// host time.
 pub fn checksum_census() -> Census {
     const ITERS: u64 = 5_000;
     let kb = |bytes: usize| bytes as f64 / 1024.0;
@@ -329,9 +328,8 @@ pub fn checksum_census() -> Census {
         x ^= x << 17;
         *byte = x as u8;
     }
-    let other = data.map(|b| b.rotate_left(3));
     let zero = [0u8; BLOCK_SIZE];
-    let payloads = vec![data, other, data.map(|b| b.rotate_left(5))];
+    let payloads = vec![data, data.map(|b| b.rotate_left(3)), data.map(|b| b.rotate_left(5))];
     let entries = (100..).zip(block_checksums(&payloads)).collect();
     let rec = VerifiedRecord::verify(JournalRecord { seq: 1, entries, payloads })
         .expect("the sums were just computed");
@@ -349,13 +347,6 @@ pub fn checksum_census() -> Census {
             ns_per_op(ITERS, || {
                 std::hint::black_box(checksum64(std::hint::black_box(&zero)));
             }) / kb(BLOCK_SIZE),
-        ),
-        (
-            "checksum64_x2_block_pair",
-            ns_per_op(ITERS, || {
-                let (a, b) = std::hint::black_box((&data, &other));
-                std::hint::black_box(checksum64_x2(a, b));
-            }) / kb(2 * BLOCK_SIZE),
         ),
         (
             "repl_frame_round_trip",
@@ -591,12 +582,7 @@ mod tests {
     fn checksum_census_measures_every_path() {
         assert_measures_every_op(
             &checksum_census(),
-            &[
-                "checksum64_data_block",
-                "checksum64_zero_block",
-                "checksum64_x2_block_pair",
-                "repl_frame_round_trip",
-            ],
+            &["checksum64_data_block", "checksum64_zero_block", "repl_frame_round_trip"],
         );
     }
 

@@ -9,8 +9,6 @@
 
 use std::path::Path;
 
-use vino_fs::layout::checksum64;
-
 /// Streams with more lines than this are stored as hash + excerpt.
 pub const PIN_LINES: usize = 1_000;
 
@@ -18,6 +16,13 @@ pub const PIN_LINES: usize = 1_000;
 pub const EXCERPT_LINES: usize = 40;
 
 const PIN_HEADER: &str = "# fnv1a64=";
+
+/// Byte-serial FNV-1a 64: the hash in a pinned golden's header. Kept
+/// apart from the journal's `checksum64` so pins survive any change to
+/// the on-disk sum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
 
 /// Compares `got` with the golden `tests/goldens/<name>`, or rewrites
 /// the golden when `UPDATE_GOLDENS=1`.
@@ -67,7 +72,7 @@ fn stored_form(stream: &str) -> String {
     if n <= PIN_LINES {
         return stream.to_string();
     }
-    let mut out = format!("{PIN_HEADER}{:016x} lines={n}\n", checksum64(stream.as_bytes()));
+    let mut out = format!("{PIN_HEADER}{:016x} lines={n}\n", fnv1a64(stream.as_bytes()));
     for line in stream.lines().take(EXCERPT_LINES) {
         out.push_str(line);
         out.push('\n');
@@ -96,7 +101,7 @@ fn first_difference(want: &str, got: &str) -> String {
         format!(
             "lines 1-{at} match the pinned excerpt; the stream differs after them \
              (fnv1a64 golden {hash}, got {:016x})",
-            checksum64(got.as_bytes())
+            fnv1a64(got.as_bytes())
         )
     } else {
         "every line matches; the stored form differs (line endings or pinning)".into()
@@ -119,6 +124,17 @@ mod tests {
         let dir = root().join("target/golden-selftest").join(test);
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn the_pin_hash_is_the_published_fnv1a_64() {
+        for (input, want) in [
+            (&b""[..], 0xcbf2_9ce4_8422_2325),
+            (b"a", 0xaf63_dc4c_8601_ec8c),
+            (b"foobar", 0x8594_4171_f739_67e8),
+        ] {
+            assert_eq!(fnv1a64(input), want);
+        }
     }
 
     /// Runs [`check_at`] and returns its panic message, if any.
@@ -165,7 +181,7 @@ mod tests {
         let (golden, regen) = (dir.join("c.golden"), dir.join("regen/c.golden"));
         let stream = numbered(PIN_LINES + 1);
         check_at(&golden, &regen, &stream, true);
-        let hash = checksum64(stream.as_bytes());
+        let hash = fnv1a64(stream.as_bytes());
         assert_eq!(
             std::fs::read_to_string(&golden).unwrap(),
             format!("# fnv1a64={hash:016x} lines=1001\n{}", numbered(EXCERPT_LINES))

@@ -194,7 +194,7 @@ pub struct VerifiedRecord(JournalRecord);
 
 impl VerifiedRecord {
     /// Checks `rec`'s shape (one payload per entry, at least one), then
-    /// each payload block against its entry's sum, two blocks per pass
+    /// each payload block against its entry's sum
     /// ([`block_checksums`]). [`FsError::BadVolume`] if any of it does
     /// not hold.
     pub fn verify(rec: JournalRecord) -> Result<VerifiedRecord, FsError> {
@@ -657,7 +657,7 @@ impl FileSystem {
             let payloads = || chunk.iter().map(|(_home, data)| data);
             let sums = block_checksums(payloads());
             let entries = chunk.iter().map(|(home, _data)| *home).zip(sums).collect();
-            self.commit_record(seq, entries, payloads(), through_cache)?;
+            self.commit_record(seq, entries, payloads(), through_cache, true)?;
         }
         Ok(())
     }
@@ -669,13 +669,17 @@ impl FileSystem {
     /// ([`ingest_replicated`](Self::ingest_replicated)), so both honour
     /// the same crash points. `entries` holds each payload's `(home
     /// block, checksum)`; the caller has computed or verified the sums,
-    /// and the retained [`VerifiedRecord`] rests on them.
+    /// and the retained [`VerifiedRecord`] rests on them. With `retain`
+    /// off (a replicated record: nothing ships on from the node that
+    /// applies it) the record and its seal span are not kept, and only
+    /// the committed high-water mark advances.
     fn commit_record<'a>(
         &mut self,
         seq: u64,
         entries: Vec<(u64, u64)>,
         payloads: impl Iterator<Item = &'a [u8; BLOCK_SIZE]> + Clone,
         through_cache: bool,
+        retain: bool,
     ) -> Result<(), FsError> {
         let cap = self.sb.journal_capacity().max(1);
         let js = self.sb.journal_start as u64;
@@ -700,16 +704,20 @@ impl FileSystem {
         // it with the commit stamp so replication chains off it.
         let seal_ctx = self.obs.trace().map_or(CauseCtx::NONE, |tp| tp.mint_span(tp.ctx().span));
         self.obs.emit_with_ctx(TraceEvent::FsJournalCommit { seq }, seal_ctx);
-        if self.obs.trace().is_some() {
-            self.seal_spans.insert(seq, (seal_ctx.span, self.obs.clock().now()));
-        }
         // Commit is durable: retain the record for replication shipping
         // before any later crash point can interrupt the checkpoint.
-        self.retain_committed(VerifiedRecord(JournalRecord {
-            seq,
-            entries: desc.entries.clone(),
-            payloads: payloads.clone().copied().collect(),
-        }));
+        if retain {
+            if self.obs.trace().is_some() {
+                self.seal_spans.insert(seq, (seal_ctx.span, self.obs.clock().now()));
+            }
+            self.retain_committed(VerifiedRecord(JournalRecord {
+                seq,
+                entries: desc.entries.clone(),
+                payloads: payloads.clone().copied().collect(),
+            }));
+        } else {
+            self.last_committed = self.last_committed.max(seq);
+        }
         self.crash_point(FaultSite::KernelCrashAfterCommit)?;
         for ((home, _sum), data) in desc.entries.iter().zip(payloads) {
             self.crash_point(FaultSite::KernelCrashMidCheckpoint)?;
@@ -776,9 +784,12 @@ impl FileSystem {
     /// refused so the shipper retransmits. The payloads are not hashed
     /// here: a [`VerifiedRecord`] was checked where it was built. A
     /// record larger than this volume's journal is
-    /// [`FsError::BadVolume`]. In-memory metadata is rebuilt after a
-    /// successful apply, so the replica stays mountable-equivalent to
-    /// its own disk.
+    /// [`FsError::BadVolume`]. The applied record joins no retained
+    /// tail ([`committed_records`](Self::committed_records) and
+    /// [`seal_info_of`](Self::seal_info_of) stay empty for it); only
+    /// [`last_committed_seq`](Self::last_committed_seq) advances.
+    /// In-memory metadata is rebuilt after a successful apply, so the
+    /// replica stays mountable-equivalent to its own disk.
     pub fn ingest_replicated(&mut self, rec: &VerifiedRecord) -> Result<IngestOutcome, FsError> {
         self.check_power()?;
         if rec.seq < self.next_seq {
@@ -792,7 +803,7 @@ impl FileSystem {
         }
         self.crash_point(FaultSite::KernelCrashBeforeJournal)?;
         self.next_seq = rec.seq + 1;
-        self.commit_record(rec.seq, rec.entries.clone(), rec.payloads.iter(), false)?;
+        self.commit_record(rec.seq, rec.entries.clone(), rec.payloads.iter(), false, false)?;
         for (home, _sum) in &rec.entries {
             self.cache.invalidate(BlockAddr(*home));
         }
@@ -1433,6 +1444,18 @@ mod tests {
     }
 
     #[test]
+    fn mount_refuses_a_volume_journalled_with_fnv1a_sums() {
+        let clock = VirtualClock::new();
+        let mut fs = FileSystem::format(Rc::clone(&clock), Disk::new(Rc::clone(&clock)), 8, 64);
+        fs.create("f", BLOCK_SIZE as u64).unwrap();
+        let mut sb = fs.disk.read(BlockAddr(0));
+        sb[..4].copy_from_slice(&0x5649_4E4F_u32.to_le_bytes()); // "VINO"
+        fs.disk.write(BlockAddr(0), &sb);
+        let FileSystem { disk, .. } = fs;
+        assert!(matches!(FileSystem::mount(clock, disk, 8), Err(FsError::BadVolume)));
+    }
+
+    #[test]
     fn default_ra_prefetches_on_sequential_only() {
         let mut fs = fresh(16);
         fs.create("seq", 16 * BLOCK_SIZE as u64).unwrap();
@@ -1737,6 +1760,8 @@ mod tests {
             );
         }
         assert_eq!(r.ingest_replicated(&recs[0]), Ok(IngestOutcome::Duplicate));
+        assert_eq!(r.last_committed_seq(), 2);
+        assert_eq!(r.committed_records(1).count(), 0, "an applied record is not retained");
         let fd2 = r.open("f").unwrap();
         assert_eq!(r.read(fd2, 0, 12).unwrap(), b"replicate me");
         // Byte-identical over every block either side materialised.
@@ -1785,6 +1810,74 @@ mod tests {
         // no-op on the image: pure redo records are idempotent.
         assert_eq!(again.replayed_txns, first.replayed_txns);
         assert_eq!(fs.disk_image(), before);
+    }
+
+    /// Tears each payload block of a committed 3-block record at each
+    /// sector boundary, with its descriptor and commit block intact:
+    /// the payload sums must refuse every tear, so recovery discards the
+    /// record, the committed prefix survives byte for byte, and a second
+    /// mount changes nothing.
+    #[test]
+    fn a_torn_payload_block_is_never_replayed() {
+        let mount = |image: DiskImage| {
+            let clock = VirtualClock::new();
+            FileSystem::mount(Rc::clone(&clock), Disk::from_image(clock, image).unwrap(), 8)
+                .unwrap()
+        };
+        let clock = VirtualClock::new();
+        let mut fs = FileSystem::format(Rc::clone(&clock), Disk::new(Rc::clone(&clock)), 8, 64);
+        fs.create("f", 4 * BLOCK_SIZE as u64).unwrap();
+        let fd = fs.open("f").unwrap();
+        // The committed prefix also fills the journal slots the record
+        // will tear over with stale payloads.
+        let prefix: Vec<u8> = (0..4 * BLOCK_SIZE).map(|i| (i % 251) as u8).collect();
+        fs.write(fd, 0, &prefix).unwrap();
+        let before = fs.disk_image();
+        let plane = FaultPlane::seeded(7);
+        plane.arm(FaultSite::KernelCrashAfterCommit, 1);
+        fs.obs().attach_fault(plane).unwrap();
+        let mut rng = vino_sim::rng::SplitMix64::new(0x70A2);
+        let record: Vec<u8> = (0..3 * BLOCK_SIZE).map(|_| rng.next_u64() as u8).collect();
+        assert_eq!(fs.write(fd, 0, &record), Err(FsError::PowerFailure));
+        let committed = fs.disk_image();
+        let js = fs.sb.journal_start as u64;
+        let journal = js..js + fs.sb.journal_blocks as u64;
+
+        // Whole, the record replays: the tears below are what refuse it.
+        let mut whole = mount(committed.clone());
+        assert_eq!(whole.recovery_report().unwrap().replayed_blocks, 3);
+        let fd = whole.open("f").unwrap();
+        assert_eq!(whole.read(fd, 0, record.len() as u64).unwrap(), record);
+
+        for block in 0..3 {
+            let addr = BlockAddr(js + 1 + block);
+            for at in (0..BLOCK_SIZE).step_by(512) {
+                let case = format!("payload {block} torn at {at}");
+                let mut disk = Disk::from_image(VirtualClock::new(), committed.clone()).unwrap();
+                let new = disk.read(addr);
+                disk.write(addr, &before.block(addr));
+                disk.write_torn(addr, &new, at);
+                let torn = disk.snapshot();
+                assert_ne!(torn.block(addr), new, "{case}: the tear must change the block");
+
+                let mut fs1 = mount(torn);
+                let report = fs1.recovery_report().unwrap();
+                assert_eq!((report.replayed_txns, report.discarded_txns), (0, 1), "{case}");
+                let after = fs1.disk_image();
+                for a in before.written().chain(after.written()) {
+                    if !journal.contains(&a.0) {
+                        assert!(after.block(a) == before.block(a), "{case}: block {a:?} moved");
+                    }
+                }
+                let fd1 = fs1.open("f").unwrap();
+                assert_eq!(fs1.read(fd1, 0, prefix.len() as u64).unwrap(), prefix, "{case}");
+
+                let fs2 = mount(after.clone());
+                let again = fs2.recovery_report().unwrap();
+                assert_eq!((again.replayed_txns, again.discarded_txns), (0, 0), "{case}");
+                assert!(fs2.disk_image() == after, "{case}: a second mount changed the disk");
+            }
+        }
     }
 
     #[test]

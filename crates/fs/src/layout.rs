@@ -50,8 +50,11 @@ pub const MAX_NAME: usize = 64;
 /// files at one.
 pub const MAX_EXTENTS: usize = 4;
 
-/// Magic number identifying a formatted volume.
-pub const FS_MAGIC: u32 = 0x56_49_4E_4F; // "VINO"
+/// Magic number identifying a formatted volume whose journal sums are
+/// [`checksum64`]. Volumes stamped "VINO" (`0x5649_4E4F`) were
+/// journalled with FNV-1a sums; mount refuses them rather than read
+/// their committed tail as torn.
+pub const FS_MAGIC: u32 = 0x5649_4E32; // "VIN2"
 
 /// Magic number opening a journal descriptor block.
 pub const JOURNAL_MAGIC: u32 = 0x4A_52_4E_4C; // "JRNL"
@@ -144,88 +147,67 @@ impl SuperBlock {
     }
 }
 
-/// FNV-1a 64 offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// Independent lanes [`checksum64`] hashes in parallel, one 64-bit
+/// word each per step.
+const LANES: usize = 4;
 
-/// FNV-1a 64 prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Each lane's starting state (the first SplitMix64 outputs of seed 0):
+/// non-zero, since a zero lane fed zero words stays zero, and distinct,
+/// so lanes fed equal words still diverge.
+const LANE_SEEDS: [u64; LANES] =
+    [0xe220_a839_7b1d_cdaf, 0x6e78_9e6a_a1b9_65f4, 0x06c4_5d18_8009_454f, 0xf88b_b8a8_724c_81ec];
 
-/// Eight FNV-1a steps over zero bytes: each xor is a no-op, so the
-/// steps collapse into one multiply by `FNV_PRIME^8`.
-const FNV_PRIME_POW8: u64 = FNV_PRIME.wrapping_pow(8);
+/// Odd, so multiplying by it is a bijection on `u64` (the 64-bit
+/// golden ratio).
+const K: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Folds eight bytes, in memory order, into an FNV-1a state. An
-/// all-zero word costs one multiply instead of eight.
+/// One lane step. For a fixed state it is a bijection of the word, and
+/// for a fixed word a bijection of the state, so two inputs that
+/// differ in one word leave that lane differing to the end.
 #[inline(always)]
-fn fnv_word(mut h: u64, word: &[u8; 8]) -> u64 {
-    let w = u64::from_le_bytes(*word);
-    if w == 0 {
-        return h.wrapping_mul(FNV_PRIME_POW8);
-    }
-    for i in 0..8 {
-        h ^= (w >> (8 * i)) & 0xff;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+fn step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(K).rotate_left(29)
 }
 
-/// Folds the bytes left over after the last whole word.
-#[inline(always)]
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &byte in bytes {
-        h ^= byte as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// The SplitMix64 finalizer: a bijection that spreads every input bit
+/// over the whole sum.
+fn avalanche(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-/// FNV-1a 64 over `data` — the journal's integrity check. Not
-/// cryptographic; it only needs to catch torn prefixes and stale tail
-/// bytes, and it must be dependency-free and deterministic.
+/// The journal's integrity check over `data`. Not cryptographic; it
+/// only needs to catch torn prefixes and stale tail bytes, and it must
+/// be dependency-free and deterministic.
 ///
-/// Hashes a word at a time so zero words (most of a descriptor block)
-/// take one multiply; the result is bit-for-bit the byte-serial
-/// FNV-1a 64.
+/// Four lanes each take every fourth 64-bit little-endian word, so the
+/// multiplies of one step overlap instead of waiting on each other; a
+/// final partial word is zero-padded. The lanes are then folded in
+/// order into the length, and the result avalanched. Every stage is a
+/// bijection of the one before for fixed other inputs, so inputs of
+/// equal length that differ in a single word, a single bit included,
+/// always sum differently.
 pub fn checksum64(data: &[u8]) -> u64 {
-    let (words, tail) = data.as_chunks::<8>();
-    fnv_bytes(words.iter().fold(FNV_OFFSET, fnv_word), tail)
-}
-
-/// [`checksum64`] of two equal-length inputs at once, as two
-/// interleaved, independent chains. One FNV-1a chain is bound by the
-/// latency of its xor-multiply; two of them keep the multiplier busy,
-/// hashing both inputs in about the time of one.
-///
-/// # Panics
-///
-/// If `a` and `b` differ in length.
-pub fn checksum64_x2(a: &[u8], b: &[u8]) -> (u64, u64) {
-    assert_eq!(a.len(), b.len(), "two-lane checksum needs equal lengths");
-    let (wa, ta) = a.as_chunks::<8>();
-    let (wb, tb) = b.as_chunks::<8>();
-    let (mut ha, mut hb) = (FNV_OFFSET, FNV_OFFSET);
-    for (x, y) in wa.iter().zip(wb) {
-        ha = fnv_word(ha, x);
-        hb = fnv_word(hb, y);
-    }
-    (fnv_bytes(ha, ta), fnv_bytes(hb, tb))
-}
-
-/// The [`checksum64`] of every block, in order, hashed two blocks per
-/// pass with [`checksum64_x2`] — a journal record's payload sums.
-pub fn block_checksums<'a>(blocks: impl IntoIterator<Item = &'a [u8; BLOCK_SIZE]>) -> Vec<u64> {
-    let mut blocks = blocks.into_iter();
-    let mut sums = Vec::with_capacity(blocks.size_hint().0);
-    while let Some(a) = blocks.next() {
-        match blocks.next() {
-            Some(b) => {
-                let (sa, sb) = checksum64_x2(a, b);
-                sums.extend([sa, sb]);
-            }
-            None => sums.push(checksum64(a)),
+    let mut lanes = LANE_SEEDS;
+    let (stripes, rest) = data.as_chunks::<{ 8 * LANES }>();
+    for stripe in stripes {
+        for (h, w) in lanes.iter_mut().zip(stripe.as_chunks::<8>().0) {
+            *h = step(*h, u64::from_le_bytes(*w));
         }
     }
-    sums
+    for (h, w) in lanes.iter_mut().zip(rest.chunks(8)) {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        *h = step(*h, u64::from_le_bytes(word));
+    }
+    avalanche(lanes.into_iter().fold(data.len() as u64, step))
+}
+
+/// The [`checksum64`] of every block, in order: a journal record's
+/// payload sums.
+pub fn block_checksums<'a>(blocks: impl IntoIterator<Item = &'a [u8; BLOCK_SIZE]>) -> Vec<u64> {
+    blocks.into_iter().map(|b| checksum64(b)).collect()
 }
 
 /// The journal descriptor: names the home location and payload checksum
@@ -237,7 +219,7 @@ pub fn block_checksums<'a>(blocks: impl IntoIterator<Item = &'a [u8; BLOCK_SIZE]
 /// 0..4        JOURNAL_MAGIC
 /// 4..12       sequence number
 /// 12..16      entry count n
-/// 16..16+16n  n × (home block u64, payload FNV-1a u64)
+/// 16..16+16n  n × (home block u64, payload checksum64 u64)
 /// 4088..4096  header checksum over bytes 0..4088
 /// ```
 ///
@@ -556,113 +538,71 @@ mod tests {
         assert_ne!(checksum64(&[0u8; 4096]), 0, "all-zero block must not seal as zero");
     }
 
-    /// Byte-serial FNV-1a 64: the oracle the word-at-a-time and
-    /// two-lane paths must match exactly.
-    fn fnv1a_serial(data: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &byte in data {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    /// A [`BLOCK_SIZE`] block of SplitMix64 bytes from `seed`.
+    fn seeded_block(seed: u64) -> [u8; BLOCK_SIZE] {
+        let mut rng = vino_sim::rng::SplitMix64::new(seed);
+        let mut b = [0u8; BLOCK_SIZE];
+        for word in b.as_chunks_mut::<8>().0 {
+            *word = rng.next_u64().to_le_bytes();
         }
-        h
-    }
-
-    /// `len` SplitMix64 bytes from `seed`.
-    fn splitmix_bytes(seed: u64, len: usize) -> Vec<u8> {
-        let mut state = seed;
-        let mut out = Vec::with_capacity(len + 8);
-        while out.len() < len {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
-        }
-        out.truncate(len);
-        out
-    }
-
-    /// Asserts both fast paths agree with the oracle on `a` and `b`.
-    fn assert_exact(a: &[u8], b: &[u8]) {
-        let (ha, hb) = (fnv1a_serial(a), fnv1a_serial(b));
-        assert_eq!(checksum64(a), ha, "len {}", a.len());
-        assert_eq!(checksum64(b), hb, "len {}", b.len());
-        assert_eq!(checksum64_x2(a, b), (ha, hb), "len {}", a.len());
+        b
     }
 
     #[test]
-    fn checksum_is_the_published_fnv1a_64() {
-        // These pin the on-disk journal format.
-        for (input, want) in [
-            (&b""[..], 0xcbf2_9ce4_8422_2325),
-            (b"a", 0xaf63_dc4c_8601_ec8c),
-            (b"foobar", 0x8594_4171_f739_67e8),
-        ] {
-            assert_eq!(fnv1a_serial(input), want);
-            assert_eq!(checksum64(input), want);
-            assert_eq!(checksum64_x2(input, input), (want, want));
-        }
+    fn lane_seeds_are_the_first_splitmix64_outputs() {
+        let mut rng = vino_sim::rng::SplitMix64::new(0);
+        assert_eq!(LANE_SEEDS.map(|_| rng.next_u64()), LANE_SEEDS);
     }
 
     #[test]
-    fn fast_paths_match_the_oracle_at_every_length() {
-        for len in 0..=BLOCK_SIZE + 7 {
-            let a = splitmix_bytes(len as u64, len);
-            let b = splitmix_bytes(!(len as u64), len);
-            assert_exact(&a, &b);
-        }
+    fn checksum_pins_a_known_answer() {
+        // Pins the on-disk journal format: a change here is a format
+        // change, and needs a new `FS_MAGIC`.
+        assert_eq!(checksum64(&seeded_block(0x5EED)), 0x9bf3_b944_6e4d_fa76);
     }
 
     #[test]
-    fn fast_paths_match_the_oracle_on_zero_runs_at_every_alignment() {
-        let base = splitmix_bytes(7, 96);
-        for start in 0..24 {
-            for run in 0..=40 {
-                let mut a = base.clone();
-                a[start..start + run].fill(0);
-                // The other lane holds the run at the mirrored offset,
-                // so the lanes take the zero-word path on different
-                // steps.
-                let mut b = base.clone();
-                b[96 - start - run..96 - start].fill(0);
-                assert_exact(&a, &b);
+    fn every_single_bit_flip_changes_the_sum() {
+        for seed in [1, 2] {
+            let block = seeded_block(seed);
+            let want = checksum64(&block);
+            for bit in 0..BLOCK_SIZE * 8 {
+                let mut b = block;
+                b[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum64(&b), want, "seed {seed}, bit {bit}");
             }
         }
-        // A zero block, and zero blocks with one live byte anywhere in
-        // their first and last words.
-        let zero = [0u8; BLOCK_SIZE];
-        assert_exact(&zero, &zero);
-        for at in (0..16).chain(BLOCK_SIZE - 16..BLOCK_SIZE) {
-            let mut a = zero;
-            a[at] = 0x5a;
-            assert_exact(&a, &zero);
-            assert_exact(&zero, &a);
+    }
+
+    #[test]
+    fn a_torn_block_changes_the_sum() {
+        // New prefix over a stale suffix, torn at each sector boundary.
+        let (new, stale) = (seeded_block(3), seeded_block(4));
+        let want = checksum64(&new);
+        for at in (0..BLOCK_SIZE).step_by(512) {
+            let mut torn = stale;
+            torn[..at].copy_from_slice(&new[..at]);
+            assert_ne!(checksum64(&torn), want, "torn at {at}");
         }
     }
 
     #[test]
-    fn block_checksums_match_the_oracle_for_zero_to_five_blocks() {
+    fn short_inputs_hash_and_zero_runs_of_each_length_differ() {
+        let bytes = seeded_block(5);
+        let mut zero_sums = std::collections::HashSet::new();
+        for len in 0..=96 {
+            assert_eq!(checksum64(&bytes[..len]), checksum64(&bytes[..len]), "len {len}");
+            assert!(zero_sums.insert(checksum64(&[0u8; 96][..len])), "zeros of len {len}");
+        }
+    }
+
+    #[test]
+    fn block_checksums_sum_each_block() {
         for n in 0..=5u64 {
-            let blocks: Vec<[u8; BLOCK_SIZE]> = (0..n)
-                .map(|i| {
-                    let mut b = [0u8; BLOCK_SIZE];
-                    b.copy_from_slice(&splitmix_bytes(100 + i, BLOCK_SIZE));
-                    if i % 2 == 1 {
-                        // Half-zero blocks, as descriptor-like payloads.
-                        b[BLOCK_SIZE / 2..].fill(0);
-                    }
-                    b
-                })
-                .collect();
-            let want: Vec<u64> = blocks.iter().map(|b| fnv1a_serial(b)).collect();
+            let blocks: Vec<[u8; BLOCK_SIZE]> = (0..n).map(|i| seeded_block(100 + i)).collect();
+            let want: Vec<u64> = blocks.iter().map(|b| checksum64(b)).collect();
             assert_eq!(block_checksums(&blocks), want, "{n} blocks");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn two_lane_checksum_refuses_unequal_lengths() {
-        checksum64_x2(b"ab", b"abc");
     }
 
     #[test]

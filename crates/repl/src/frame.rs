@@ -5,7 +5,7 @@
 //! ```text
 //! n: u32 | (home: u64, sum: u64) × n | payload block × n | seal: u64
 //! '------- sealed header --------'
-//! seal = fnv1a(n | entries) ^ seq
+//! seal = checksum64(n | entries) ^ seq
 //! ```
 //!
 //! The seal covers the header only, xor-bound to the record's
@@ -13,7 +13,7 @@
 //! bent count or entry, is refused. The payload blocks need no seal of
 //! their own: the sealed entry table already carries each block's sum,
 //! so the [`Reassembler`] checks each block against its entry exactly
-//! once, two blocks per pass ([`VerifiedRecord::verify`]), and what it
+//! once ([`VerifiedRecord::verify`]), and what it
 //! yields is a [`VerifiedRecord`] that the replica applies without
 //! hashing again. The journal's own on-disk seals never leave the
 //! primary; the wire carries its own.

@@ -777,8 +777,9 @@ pub fn assert_committed_states_match(primary: &DiskImage, replica: &DiskImage) {
     }
 }
 
-/// An FNV-1a fingerprint of an image's committed state (same recovery
-/// and same exclusions as [`assert_committed_states_match`]) — a cheap
+/// A fingerprint of an image's committed state (each non-zero block's
+/// address and [`checksum64`], folded FNV-1a style; same recovery and
+/// same exclusions as [`assert_committed_states_match`]) — a cheap
 /// equality witness for same-seed replay checks. All-zero blocks are
 /// skipped so a written-as-zeros block equals a never-written one.
 pub fn committed_state_fingerprint(image: &DiskImage) -> u64 {
@@ -822,6 +823,19 @@ mod tests {
             committed_state_fingerprint(&h.primary().fs.borrow().disk_image()),
             committed_state_fingerprint(&promoted.fs.borrow().disk_image()),
         );
+    }
+
+    #[test]
+    fn nodes_that_only_apply_records_retain_none() {
+        let mut h = ReplHarness::new(0xA1, ReplConfig::default());
+        h.run(500);
+        let primary_committed = h.primary_committed();
+        assert!(primary_committed > 0);
+        let replica = h.replica.fs.borrow();
+        for (node, fs) in [("replica", &*replica), ("shadow", &h.shadow)] {
+            assert_eq!(fs.committed_records(0).count(), 0, "{node} retains applied records");
+            assert_eq!(fs.last_committed_seq(), primary_committed, "{node} high-water mark");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   [`VerifiedRecord`](vino_fs::VerifiedRecord) cut into record-frame
 //!   fragments under the packet plane's
 //!   [`PAYLOAD_CAP`](vino_net::PAYLOAD_CAP) (entry table + payload
-//!   blocks + a fresh FNV-1a seal over the header, bound to the
+//!   blocks + a fresh `checksum64` seal over the header, bound to the
 //!   sequence), the cumulative-ack frame, and the reassembler, which
 //!   checks each payload block once and yields a verified record.
 //! - [`harness`] — the [`ReplHarness`]: two kernels off one virtual
